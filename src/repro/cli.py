@@ -16,13 +16,15 @@ Subcommands::
     repro report     run-history analytics & the perf-regression gate
                      (trends | baseline | compare | divergence | html)
     repro audit      planner model-conformance audit over audit.jsonl
-                     (summary | misplans | validate | calibration)
+                     (summary | misplans | calibration)
     repro mem        memory observability: array ledger + footprint
                      conformance (summary | ledger | conformance)
     repro export     recorded runs -> Chrome trace JSON / flame stacks
                      (trace | flame)
     repro top        live terminal view of a telemetry event stream
     repro serve-metrics  Prometheus-text scrape endpoint
+    repro validate   schema-check JSONL files: run records, audit
+                     records and live events alike
 
 Every subcommand accepts ``--trace`` (print the span tree and metric
 counters after the run; add ``--trace-memory`` for tracemalloc peaks).
@@ -30,7 +32,9 @@ counters after the run; add ``--trace-memory`` for tracemalloc peaks).
 top-level span while tracing. ``REPRO_LIVE=1`` starts the live
 telemetry runtime (resource sampler, progress/ETA events, worker
 heartbeats -- see docs/OBSERVABILITY.md) for the dispatched
-subcommand. ``repro --version`` prints the package version.
+subcommand. Every JSONL line written (``runs.jsonl``, ``audit.jsonl``,
+the live stream) is a typed event that ``repro validate`` checks.
+``repro --version`` prints the package version.
 
 Examples::
 
@@ -644,10 +648,9 @@ def cmd_audit(args) -> int:
     prediction-ratio numbers plus the per-(method, ordering,
     graph-class) conformance table (``--fail-over R`` exits non-zero
     when the median realized regret exceeds ``R`` -- the CI gate);
-    ``misplans`` lists every diagnosed bad pick; ``validate``
-    schema-checks the log; ``calibration`` inspects (and with
-    ``--measure --record`` feeds) the rolling speed-ratio store behind
-    ``speed_ratio="calibrated"``.
+    ``misplans`` lists every diagnosed bad pick; ``calibration``
+    inspects (and with ``--measure --record`` feeds) the rolling
+    speed-ratio store behind ``speed_ratio="calibrated"``.
     """
     import json
 
@@ -701,21 +704,6 @@ def cmd_audit(args) -> int:
             print(f"no fresh host-matching entries for "
                   f"engine={args.engine}: speed_ratio='calibrated' "
                   f"will fall back to a fresh measurement")
-        return 0
-
-    if args.audit_command == "validate":
-        sink = obs_audit.audit_path(args.file)
-        try:
-            count, errors = obs_audit.validate_audit_file(args.file)
-        except OSError as exc:
-            raise SystemExit(f"cannot read {sink}: {exc}")
-        if errors:
-            print(f"{len(errors)} schema error(s) in {sink}:",
-                  file=sys.stderr)
-            for error in errors[:20]:
-                print(f"  {error}", file=sys.stderr)
-            return 1
-        print(f"{count} audit record(s) OK in {sink}")
         return 0
 
     records = _audit_records(args)
@@ -870,37 +858,16 @@ def cmd_top(args) -> int:
     ``REPRO_LIVE_EVENTS=PATH`` and refreshes a status block in place:
     current phase, progress %, model-ops ETA, RSS/CPU, per-worker
     liveness, and memory pressure. ``--once`` renders the current
-    state and exits (add ``--json`` for a machine-readable dump);
-    ``--validate`` schema-checks the stream instead (the CI gate) and
-    exits non-zero on any malformed event.
+    state and exits (add ``--json`` for a machine-readable dump).
     """
     import json
 
-    from repro.obs import bus as obs_bus
     from repro.obs import live as obs_live
-    if args.validate:
-        try:
-            count, errors = obs_bus.validate_events_file(args.events)
-        except OSError as exc:
-            raise SystemExit(f"cannot read {args.events}: {exc}")
-        if errors:
-            print(f"{len(errors)} schema error(s) in {args.events}:",
-                  file=sys.stderr)
-            for error in errors[:20]:
-                print(f"  {error}", file=sys.stderr)
-            return 1
-        print(f"{count} event(s) OK in {args.events}")
-        return 0
     state = obs_live.LiveState()
     offset = 0
     try:
         while True:
-            try:
-                events, offset = obs_live.read_events(args.events,
-                                                      offset)
-            except OSError:
-                events = []
-            state.update_many(events)
+            offset = _follow_events(args.events, state, offset)
             if args.once:
                 if args.json:
                     print(json.dumps(state.to_dict(), indent=2))
@@ -914,6 +881,24 @@ def cmd_top(args) -> int:
     except KeyboardInterrupt:
         print()
         return 0
+
+
+def _follow_events(path, state, offset: int = 0) -> int:
+    """Fold a live event stream from ``offset`` into ``state``.
+
+    Returns the offset to resume from (``repro top`` polls, ``repro
+    serve-metrics --events`` reads from 0 per scrape). A missing file
+    reads as no events; unreadable lines are skipped and counted as
+    ``events.corrupted``.
+    """
+    from repro.obs import bus as obs_bus
+    try:
+        lines, offset = obs_bus.read_jsonl(path, offset, follow=True,
+                                           counter="events.corrupted")
+    except OSError:
+        return offset
+    state.update_many(event for __, event in lines)
+    return offset
 
 
 def cmd_serve_metrics(args) -> int:
@@ -933,11 +918,7 @@ def cmd_serve_metrics(args) -> int:
 
         def render():
             state = obs_live.LiveState()
-            try:
-                events, __ = obs_live.read_events(events_path, 0)
-            except OSError:
-                events = []
-            state.update_many(events)
+            _follow_events(events_path, state)
             return obs_live.render_prometheus(
                 extra_gauges=state.to_gauges())
 
@@ -961,6 +942,34 @@ def cmd_serve_metrics(args) -> int:
         pass
     server.stop()
     return 0
+
+
+def cmd_validate(args) -> int:
+    """``repro validate PATH...``: schema-check typed JSONL files.
+
+    Run records (``run.end``), audit records (``planner.decision``)
+    and live events share one line format, so one validator covers
+    all three sinks. Exits non-zero when any file is unreadable or has
+    a line that is not a valid typed event.
+    """
+    from repro.obs import bus as obs_bus
+    rc = 0
+    for path in args.paths:
+        try:
+            count, errors = obs_bus.validate_file(path)
+        except OSError as exc:
+            print(f"cannot read {path}: {exc}", file=sys.stderr)
+            rc = 1
+            continue
+        if errors:
+            print(f"{len(errors)} schema error(s) in {path}:",
+                  file=sys.stderr)
+            for error in errors[:20]:
+                print(f"  {error}", file=sys.stderr)
+            rc = 1
+        else:
+            print(f"{count} line(s) OK in {path}")
+    return rc
 
 
 def _package_version() -> str:
@@ -1280,10 +1289,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the misplan rows as JSON")
 
     ap = add_audit_parser(
-        "validate",
-        help="schema-check the audit log; exit non-zero on errors")
-
-    ap = add_audit_parser(
         "calibration",
         help="inspect/feed the rolling speed-ratio store")
     ap.add_argument("--store", default=None, metavar="PATH",
@@ -1388,9 +1393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="with --once: print the state as JSON instead "
                         "of the status block")
-    p.add_argument("--validate", action="store_true",
-                   help="schema-check the stream instead of rendering; "
-                        "exit non-zero on malformed events")
     p.set_defaults(func=cmd_top)
 
     p = add_parser("serve-metrics",
@@ -1407,6 +1409,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve exactly one request and exit (CI smoke "
                         "mode)")
     p.set_defaults(func=cmd_serve_metrics)
+
+    p = add_parser("validate",
+                   help="schema-check JSONL files (runs, audit, live "
+                        "events); exit non-zero on any bad line")
+    p.add_argument("paths", nargs="+", metavar="PATH",
+                   help="JSONL file(s) to check")
+    p.set_defaults(func=cmd_validate)
 
     p = add_parser("profile",
                    help="phase-time breakdown over a method/order grid")
@@ -1483,7 +1492,7 @@ def main(argv=None) -> int:
         trace = obs.enable_from_env()
     # REPRO_LIVE=1 starts the live runtime (sampler, event bus sinks,
     # span phase hook, optional metrics endpoint) around the command.
-    live_on = (args.func not in (cmd_top, cmd_serve_metrics)
+    live_on = (args.func not in (cmd_top, cmd_serve_metrics, cmd_validate)
                and obs.live.enable_from_env())
     try:
         rc = args.func(args)

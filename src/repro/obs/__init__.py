@@ -13,6 +13,9 @@ near-free when disabled:
   metric snapshots, run config, and git/python metadata.
 * :mod:`repro.obs.logging` -- structured stdlib logging with the
   ``REPRO_LOG`` env knob.
+* :mod:`repro.obs.bus` -- every JSONL line the package writes is a
+  typed event; the bus holds the one appender, reader and validator
+  (``repro validate``).
 * :mod:`repro.obs.bus` + :mod:`repro.obs.live` -- the live-telemetry
   runtime (``REPRO_LIVE=1``): a pub/sub event bus, a background
   resource sampler, model-ops progress/ETA events, worker heartbeats
@@ -62,8 +65,6 @@ Typical use::
 
 from __future__ import annotations
 
-import os
-
 from repro.obs import audit, baselines, bus, dashboard, export, live
 from repro.obs import logging as obs_logging
 from repro.obs import memory, metrics, profiling, records, report, spans
@@ -71,6 +72,7 @@ from repro.obs.baselines import (Baseline, build_baseline, compare,
                                  has_regressions, load_baseline,
                                  save_baseline)
 from repro.obs.dashboard import render_dashboard, write_dashboard
+from repro.obs.env import env_flag
 from repro.obs.export import (collapsed_stacks, records_to_trace,
                               validate_trace, write_collapsed,
                               write_trace)
@@ -134,9 +136,6 @@ __all__ = [
     "write_trace",
 ]
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
 def enable(memory: bool = False, profile: int | None = None,
            alloc: int | None = None) -> None:
     """Enable span collection and metric publication together.
@@ -167,10 +166,8 @@ def enable_from_env() -> bool:
 
     ``REPRO_TRACE_MEMORY=1`` additionally turns on tracemalloc peaks.
     """
-    if os.environ.get("REPRO_TRACE", "").strip().lower() in _TRUTHY:
-        memory = (os.environ.get("REPRO_TRACE_MEMORY", "")
-                  .strip().lower() in _TRUTHY)
-        enable(memory=memory)
+    if env_flag("REPRO_TRACE"):
+        enable(memory=env_flag("REPRO_TRACE_MEMORY"))
         return True
     return False
 

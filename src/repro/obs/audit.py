@@ -7,8 +7,9 @@ regimes silently degrades every pick. This module closes the loop:
 
 * every auto-routed :func:`repro.listing.api.list_triangles` /
   :func:`repro.pipeline.run_pipeline` call (and every regret-harness
-  case) appends one **audit record** to a JSONL log alongside
-  ``runs.jsonl`` -- the full ranked candidate table with predicted
+  case) appends one **audit record** -- a ``planner.decision`` event,
+  the same dict the live bus publishes -- to a JSONL log alongside
+  ``runs.jsonl``: the full ranked candidate table with predicted
   ops/time, the chosen entry and confidence, then the post-run actual
   ops / wall time and the **realized regret** of the pick against the
   cheapest candidate that could be re-priced exactly (same definition
@@ -34,7 +35,6 @@ summary|misplans|calibration`` or the dashboard's audit panel.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -43,7 +43,7 @@ import time
 
 from repro.obs import bus as _bus
 from repro.obs import metrics as _metrics
-from repro.obs import records as _records
+from repro.obs.env import env_flag
 
 __all__ = [
     "AUDIT_ENV",
@@ -72,8 +72,6 @@ __all__ = [
     "prediction_ratio",
     "realized_regret",
     "record_auto_route",
-    "validate_audit_file",
-    "validate_audit_record",
     "write_audit_record",
 ]
 
@@ -100,8 +98,6 @@ MODEL_RTOL = 1.25
 
 #: Assumed-vs-calibrated speed-ratio factor beyond which drift is flagged.
 DRIFT_FACTOR = 2.0
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 #: ``None`` = not yet resolved from the environment (first
 #: :func:`is_enabled` call reads ``REPRO_AUDIT`` exactly once).
@@ -131,8 +127,7 @@ def is_enabled() -> bool:
     """
     global _enabled
     if _enabled is None:
-        _enabled = (os.environ.get(AUDIT_ENV, "").strip().lower()
-                    in _TRUTHY)
+        _enabled = env_flag(AUDIT_ENV)
     return _enabled
 
 
@@ -173,8 +168,9 @@ def open_record(plan, route: str, *, n=None, m=None, max_degree=None,
     """Start an audit record from a routing plan (pre-run fields).
 
     ``plan`` is the :class:`~repro.planner.plan.Plan` the router used;
-    the record captures its full ranked table, the pick, and the
-    confidence. Post-run fields are folded in by :func:`finish_record`.
+    the record -- a stamped ``planner.decision`` event -- captures its
+    full ranked table, the pick, and the confidence. Post-run fields
+    are folded in by :func:`finish_record`.
     """
     if n is None:
         n = plan.n
@@ -183,6 +179,7 @@ def open_record(plan, route: str, *, n=None, m=None, max_degree=None,
         m = int(meta_m) if isinstance(meta_m, (int, float)) else None
     best = plan.best
     record = {
+        "type": "planner.decision",
         "schema": AUDIT_SCHEMA_VERSION,
         "ts": time.time(),
         "pid": os.getpid(),
@@ -398,23 +395,21 @@ def _stored_ratio_or_none() -> float | None:
 def write_audit_record(record: dict, path=None,
                        fsync: bool | None = None) -> pathlib.Path:
     """Append one record to the audit JSONL sink (atomic line append)."""
-    sink = audit_path(path)
-    line = json.dumps(record, default=_records.json_default)
-    return _records.append_jsonl_line(sink, line, fsync=fsync)
+    return _bus.append_jsonl_line(audit_path(path), record, fsync=fsync)
 
 
 def _publish(record: dict) -> None:
-    """Metrics + live-bus events for one finished record."""
+    """Metrics + live-bus events for one finished record.
+
+    The record itself is the ``planner.decision`` event; misplans and
+    drift add their own short events.
+    """
     _metrics.inc("audit.records")
+    _bus.publish(record)
     picked = record.get("picked") or {}
     picked_key = f"{picked.get('method')}+{picked.get('ordering')}"
     realized = record.get("realized") or {}
     regret = realized.get("regret")
-    fields = {"route": record.get("route", "?"), "picked": picked_key,
-              "confidence": float(record.get("confidence") or 0.0)}
-    if isinstance(regret, (int, float)):
-        fields["regret"] = float(regret)
-    _bus.emit("planner.decision", **fields)
     drift = record.get("drift")
     if drift and drift.get("factor", 0.0) > DRIFT_FACTOR:
         _metrics.inc("planner.drift")
@@ -460,111 +455,6 @@ def record_auto_route(plan, route: str, *, result=None, wall_s=None,
         return None
 
 
-# ------------------------------------------------------------- validation
-
-#: Required top-level fields and their accepted types.
-_REQUIRED_FIELDS = {
-    "schema": (int,),
-    "ts": (int, float),
-    "pid": (int,),
-    "route": (str,),
-    "source": (str,),
-    "speed_ratio": (int, float),
-    "graph_class": (str,),
-    "confidence": (int, float),
-}
-
-#: Required fields of the ``picked`` object.
-_PICKED_FIELDS = {
-    "method": (str,),
-    "ordering": (str,),
-    "family": (str,),
-    "predicted_cost": (int, float),
-    "predicted_time": (int, float),
-}
-
-
-def _check(errors, obj, field, kinds, where) -> None:
-    value = obj.get(field)
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        errors.append(f"{where}: field {field!r} should be "
-                      f"{'/'.join(k.__name__ for k in kinds)}, "
-                      f"got {value!r}")
-
-
-def validate_audit_record(record) -> list[str]:
-    """Schema errors of one audit record (empty list = valid)."""
-    if not isinstance(record, dict):
-        return [f"record is not an object: {record!r}"]
-    errors: list[str] = []
-    for field, kinds in _REQUIRED_FIELDS.items():
-        _check(errors, record, field, kinds, "record")
-    picked = record.get("picked")
-    if not isinstance(picked, dict):
-        errors.append(f"record: 'picked' should be an object, "
-                      f"got {picked!r}")
-    else:
-        for field, kinds in _PICKED_FIELDS.items():
-            _check(errors, picked, field, kinds, "picked")
-    entries = record.get("entries")
-    if not isinstance(entries, list) or not entries:
-        errors.append("record: 'entries' should be a non-empty list")
-    else:
-        for i, row in enumerate(entries):
-            if not isinstance(row, dict):
-                errors.append(f"entries[{i}]: not an object")
-                continue
-            for field, kinds in (("method", (str,)),
-                                 ("ordering", (str,)),
-                                 ("cost", (int, float)),
-                                 ("time", (int, float)),
-                                 ("rank", (int,))):
-                _check(errors, row, field, kinds, f"entries[{i}]")
-    actual = record.get("actual")
-    if actual is not None:
-        if not isinstance(actual, dict):
-            errors.append("record: 'actual' should be an object or null")
-        else:
-            for field in ("ops", "triangles"):
-                _check(errors, actual, field, (int,), "actual")
-    realized = record.get("realized")
-    if realized is not None:
-        if not isinstance(realized, dict):
-            errors.append("record: 'realized' should be an object or "
-                          "null")
-        else:
-            for field in ("regret", "oracle_time", "picked_time"):
-                _check(errors, realized, field, (int, float), "realized")
-            _check(errors, realized, "oracle", (str,), "realized")
-    diagnosis = record.get("diagnosis")
-    if not isinstance(diagnosis, dict) or \
-            not isinstance(diagnosis.get("kind"), str):
-        errors.append("record: 'diagnosis' should be an object with a "
-                      "string 'kind'")
-    return errors
-
-
-def validate_audit_file(path=None) -> tuple[int, list[str]]:
-    """Validate an audit JSONL file; ``(count, errors)``."""
-    sink = audit_path(path)
-    count = 0
-    errors: list[str] = []
-    with open(sink, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            count += 1
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: not JSON ({exc})")
-                continue
-            errors.extend(f"line {lineno}: {e}"
-                          for e in validate_audit_record(record))
-    return count, errors
-
-
 # -------------------------------------------------- conformance analyzer
 
 def load_audit(path=None) -> list[dict]:
@@ -576,32 +466,9 @@ def load_audit(path=None) -> list[dict]:
     sink = audit_path(path)
     if not sink.exists():
         return []
-    out: list[dict] = []
-    skipped = 0
-    first_bad: tuple[int, str] | None = None
-    for lineno, line in enumerate(
-            sink.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            data = str(exc)
-        if not isinstance(data, dict):
-            skipped += 1
-            if first_bad is None:
-                first_bad = (lineno, str(data))
-            continue
-        out.append(data)
-    if skipped:
-        _metrics.inc("audit.corrupted", skipped)
-        from repro.obs.logging import get_logger, log_event
-        log_event(get_logger(__name__), logging.WARNING,
-                  "skipped corrupted audit lines", path=str(sink),
-                  skipped=skipped, first_bad_line=first_bad[0],
-                  detail=first_bad[1])
-    return out
+    lines, __ = _bus.read_jsonl(sink, counter="audit.corrupted",
+                                what="audit")
+    return [value for __, value in lines if isinstance(value, dict)]
 
 
 def prediction_ratio(record: dict) -> float | None:

@@ -1,14 +1,31 @@
-"""Pub/sub event bus for live telemetry (``repro.obs.live``).
+"""Typed JSONL lines: the event bus, the one appender, reader and validator.
 
-Post-hoc observability (spans, run records) answers "what happened";
-the bus answers "what is happening *now*": producers -- the resource
+Every line :mod:`repro.obs` writes is a *typed event*: a JSON object
+stamped with ``type``, ``ts`` (unix seconds) and ``pid``.
+:data:`EVENT_SCHEMA` names the fields each type requires. The three
+sinks hold different types of the same line:
+
+* ``runs.jsonl`` -- ``run.end`` lines, one per :class:`RunRecord
+  <repro.obs.records.RunRecord>`;
+* ``audit.jsonl`` -- ``planner.decision`` lines, one per audited
+  planner pick (:mod:`repro.obs.audit`);
+* the live stream (``REPRO_LIVE_EVENTS``) -- everything published on
+  the bus while it runs.
+
+All of them go through this module: :func:`append_jsonl_line` writes a
+line, :func:`read_jsonl` reads lines back (whole files for the loaders,
+from an offset for the ``repro top`` follower), and
+:func:`validate_file` schema-checks a file (``repro validate``).
+
+The bus answers "what is happening *now*": producers -- the resource
 sampler, the progress/ETA layer, the worker-heartbeat watchdog, the
-span phase hook -- publish small dict events through :func:`emit`, and
+span phase hook, the planner audit -- publish events through
+:func:`emit` (or :func:`publish` for an event stamped already), and
 pluggable sinks fan them out:
 
 * :class:`MemorySink` -- in-process list, for tests and ``repro top``;
-* :class:`JsonlSink` -- one JSON line per event appended to a stream
-  file (the ``REPRO_LIVE_EVENTS`` sink ``repro top`` follows);
+* :class:`JsonlSink` -- appends each event to the stream file
+  ``repro top`` follows;
 * :class:`TickerSink` -- a throttled single-line stderr progress
   ticker.
 
@@ -16,20 +33,23 @@ Like the rest of :mod:`repro.obs`, the bus is disabled by default and
 the disabled path is one module-global check: :func:`emit` returns
 immediately, so instrumented hot paths (the engine chunk loop, the
 pool scheduler) pay nothing unless live telemetry is on.
-
-Every published event is stamped with ``type``, ``ts`` (unix seconds)
-and ``pid``; :data:`EVENT_SCHEMA` names the per-type required fields
-and :func:`validate_events` / :func:`validate_events_file` enforce them
-(the CI live-smoke job gates on the emitted stream).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import logging
 import os
+import pathlib
+import reprlib
 import sys
 import threading
 import time
+
+from repro.obs import metrics as _metrics
+from repro.obs.env import env_flag
+from repro.obs.logging import get_logger, log_event
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -38,24 +58,29 @@ __all__ = [
     "MemorySink",
     "TickerSink",
     "add_sink",
+    "append_jsonl_line",
     "bus",
     "disable",
     "emit",
     "enable",
     "is_enabled",
+    "json_default",
+    "publish",
+    "read_jsonl",
     "remove_sink",
     "reset",
     "validate_event",
     "validate_events",
-    "validate_events_file",
+    "validate_file",
 ]
 
 _enabled = False
 
-
-#: Required payload fields per event type (beyond the stamped
-#: ``type`` / ``ts`` / ``pid``). Values are the accepted types.
-EVENT_SCHEMA: dict[str, dict[str, tuple]] = {
+#: Required fields per event type (beyond the stamped ``type`` /
+#: ``ts`` / ``pid``). A tuple lists the accepted types of a value, a
+#: dict is a nested object with its own fields, and a one-dict list
+#: is a non-empty list of such objects.
+EVENT_SCHEMA: dict[str, dict] = {
     # background sampler: one process-resource snapshot
     "resource.sample": {
         "rss_bytes": (int,),
@@ -92,17 +117,43 @@ EVENT_SCHEMA: dict[str, dict[str, tuple]] = {
     },
     # run bracketing, for multi-run event streams
     "run.start": {"name": (str,)},
-    "run.end": {"name": (str,)},
-    # audit layer (repro.obs.audit): one auto-routed planner pick
+    # one run record (repro.obs.records), the lines of runs.jsonl
+    "run.end": {
+        "name": (str,),
+        "config": (dict,),
+        "spans": (list,),      # span trees, see repro.obs.spans
+        "metrics": (dict,),
+        "meta": (dict,),
+    },
+    # audit layer (repro.obs.audit): one planner pick with its ranked
+    # table, the lines of audit.jsonl
     "planner.decision": {
+        "schema": (int,),
         "route": (str,),       # "list_triangles" | "run_pipeline" | ...
-        "picked": (str,),      # "METHOD+ordering"
+        "source": (str,),
+        "speed_ratio": (int, float),
+        "graph_class": (str,),
         "confidence": (int, float),
+        "picked": {
+            "method": (str,),
+            "ordering": (str,),
+            "family": (str,),
+            "predicted_cost": (int, float),
+            "predicted_time": (int, float),
+        },
+        "entries": [{          # the ranked candidate table
+            "method": (str,),
+            "ordering": (str,),
+            "cost": (int, float),
+            "time": (int, float),
+            "rank": (int,),
+        }],
+        "diagnosis": {"kind": (str,)},
     },
     # audit layer: a pick whose realized regret crossed the threshold
     "planner.misplan": {
         "route": (str,),
-        "picked": (str,),
+        "picked": (str,),      # "METHOD+ordering"
         "oracle": (str,),
         "regret": (int, float),
         "kind": (str,),        # diagnosis taxonomy, see audit.diagnose
@@ -129,23 +180,140 @@ EVENT_SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-#: Optional, typed-when-present progress fields (the model-ops ETA).
-_PROGRESS_OPTIONAL = {
-    "ops_done": (int, float),
-    "ops_predicted": (int, float),
-    "eta_s": (int, float),
-    "phase": (str,),
-}
-
-#: Optional typed-when-present fields per event type. Keeping
-#: ``rss_peak_bytes`` optional (it postdates the first recorded
-#: streams) lets old event files keep validating.
-_OPTIONAL_FIELDS: dict[str, dict[str, tuple]] = {
-    "progress": _PROGRESS_OPTIONAL,
+#: Optional fields per event type, checked when present and not null.
+#: Keeping ``rss_peak_bytes`` optional (it postdates the first
+#: recorded streams) lets old event files keep validating; a decision
+#: has no ``actual`` on pure-pricing routes and no ``realized`` when
+#: the pick could not be re-priced.
+_OPTIONAL_FIELDS: dict[str, dict] = {
+    "progress": {
+        "ops_done": (int, float),
+        "ops_predicted": (int, float),
+        "eta_s": (int, float),
+        "phase": (str,),
+    },
     "resource.sample": {"rss_peak_bytes": (int,)},
     "mem.pressure": {"attributed_bytes": (int,)},
+    "planner.decision": {
+        "actual": {"ops": (int,), "triangles": (int,)},
+        "realized": {
+            "regret": (int, float),
+            "oracle_time": (int, float),
+            "picked_time": (int, float),
+            "oracle": (str,),
+        },
+    },
 }
 
+
+# ------------------------------------------------------------ JSONL I/O
+
+def json_default(obj):
+    """``json.dumps`` fallback handling numpy scalars/arrays and more."""
+    if hasattr(obj, "item") and not isinstance(obj, dict):
+        try:
+            return obj.item()  # numpy scalar
+        except (TypeError, ValueError):
+            pass
+    if hasattr(obj, "tolist"):
+        return obj.tolist()  # numpy array
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
+    if isinstance(obj, pathlib.Path):
+        return str(obj)
+    return str(obj)
+
+
+def append_jsonl_line(path, obj, fsync: bool | None = None) -> pathlib.Path:
+    """Append ``obj`` to ``path`` as one JSON line, atomically.
+
+    The one writer of every JSONL sink. The line is serialized in full
+    (numpy-aware, :func:`json_default`) *before* the file is touched,
+    then goes out through one ``O_APPEND`` descriptor, so a crashed or
+    concurrent writer can tear at most its own line -- it can never
+    interleave bytes into another one. Parent directories are created
+    on demand.
+
+    ``fsync=None`` (the default) reads ``REPRO_FSYNC`` (on unless set
+    falsy): benchmarks turn per-append flushes off so a tight emit loop
+    is not dominated by disk syncs, and the live event sink never
+    flushes. Either way the append stays atomic; only durability
+    on power loss is relaxed.
+    """
+    if fsync is None:
+        fsync = env_flag("REPRO_FSYNC", default=True)
+    sink = pathlib.Path(path)
+    sink.parent.mkdir(parents=True, exist_ok=True)
+    payload = (json.dumps(obj, default=json_default) + "\n").encode("utf-8")
+    fd = os.open(str(sink), os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                 0o644)
+    try:
+        # One write per line: O_APPEND makes each call an atomic
+        # append, so the loop only continues on a short write (ENOSPC
+        # territory) rather than splitting a healthy line.
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(fd, view):]
+        if fsync:
+            os.fsync(fd)
+    finally:
+        os.close(fd)
+    return sink
+
+
+def read_jsonl(path, offset: int = 0, *, follow: bool = False,
+               counter: str | None = None,
+               what: str = "event") -> tuple[list[tuple[int, object]], int]:
+    """Parse the lines of a JSONL file from byte ``offset``.
+
+    The one line reader. Returns ``(lines, next_offset)``: one
+    ``(lineno, value)`` pair per non-blank line, numbered from 1 at
+    ``offset``. ``value`` is the parsed object, or a one-line reason
+    string for a line that is not a JSON object (torn by a crashed
+    writer, not JSON at all, or JSON of another kind): loaders skip
+    those, :func:`validate_file` reports them.
+
+    ``follow=True`` is the tail mode of ``repro top``: a last line
+    without its newline is a producer mid-write and is left for the
+    next call. In any mode a file shorter than ``offset`` (recreated
+    by a new run) is read again from the start.
+
+    With ``counter``, skipped lines bump that metric and log one
+    WARNING naming the first of them (``what`` names the kind of line
+    in the message).
+    """
+    with open(path, "rb") as fh:
+        if offset > os.fstat(fh.fileno()).st_size:
+            offset = 0
+        fh.seek(offset)
+        data = fh.read()
+    end = data.rfind(b"\n") + 1 if follow else len(data)
+    lines: list[tuple[int, object]] = []
+    for lineno, raw in enumerate(data[:end].splitlines(), start=1):
+        if not raw.strip():
+            continue
+        try:
+            value = json.loads(raw)
+        except ValueError as exc:
+            value = f"not JSON ({exc})"
+        else:
+            if not isinstance(value, dict):
+                value = f"not a JSON object: {reprlib.repr(value)}"
+        lines.append((lineno, value))
+    bad = [(lineno, value) for lineno, value in lines
+           if isinstance(value, str)]
+    if bad and counter is not None:
+        _metrics.inc(counter, len(bad))
+        log_event(get_logger(__name__), logging.WARNING,
+                  f"skipped corrupted {what} lines", path=str(path),
+                  skipped=len(bad), first_bad_line=bad[0][0],
+                  detail=bad[0][1])
+    return lines, offset + end
+
+
+# ---------------------------------------------------------------- sinks
 
 class MemorySink:
     """Keeps every event in a list -- tests and in-process readers."""
@@ -166,30 +334,22 @@ class MemorySink:
 
 
 class JsonlSink:
-    """Appends one JSON line per event to a stream file.
+    """Appends one line per event to a stream file, never fsynced.
 
-    The file is opened line-buffered in append mode so a concurrent
-    ``repro top --events`` follower sees events as they happen; parent
-    directories are created on demand.
+    Each event goes out through :func:`append_jsonl_line` as soon as it
+    is published, so a concurrent ``repro top --events`` follower sees
+    it at once.
     """
 
     def __init__(self, path):
         self.path = path
-        parent = os.path.dirname(str(path))
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._fh = open(path, "a", buffering=1, encoding="utf-8")
 
     def write(self, event: dict) -> None:
-        """Serialize ``event`` as one line (a single ``write`` call)."""
-        self._fh.write(json.dumps(event, default=str) + "\n")
+        """Append ``event`` to the stream file."""
+        append_jsonl_line(self.path, event, fsync=False)
 
     def close(self) -> None:
-        """Flush and close the stream file."""
-        try:
-            self._fh.close()
-        except OSError:  # pragma: no cover - best-effort flush
-            pass
+        """Nothing to release: every append opens and closes the file."""
 
 
 class TickerSink:
@@ -260,8 +420,11 @@ class EventBus:
 
     def emit(self, type_: str, **fields) -> dict:
         """Stamp and publish one event; returns the event dict."""
-        event = {"type": type_, "ts": time.time(), "pid": os.getpid(),
-                 **fields}
+        return self.publish({"type": type_, "ts": time.time(),
+                             "pid": os.getpid(), **fields})
+
+    def publish(self, event: dict) -> dict:
+        """Fan an already stamped event out to every sink; returns it."""
         with self._lock:
             sinks = list(self._sinks)
         for sink in sinks:
@@ -311,6 +474,18 @@ def emit(type_: str, **fields) -> dict | None:
     return _bus.emit(type_, **fields)
 
 
+def publish(event: dict) -> dict | None:
+    """Publish a stamped event as is -- no-op while disabled.
+
+    The audit layer builds its ``planner.decision`` line first and
+    publishes that same dict, so the live stream and ``audit.jsonl``
+    carry one record.
+    """
+    if not _enabled:
+        return None
+    return _bus.publish(event)
+
+
 def add_sink(sink) -> None:
     """Register a sink on the process-wide bus."""
     _bus.add_sink(sink)
@@ -329,35 +504,46 @@ def reset() -> None:
 
 # ------------------------------------------------------------ validation
 
+def _check(value, spec, path: str, errors: list[str]) -> None:
+    """Append the errors of ``value`` against one field spec."""
+    if isinstance(spec, dict):
+        if not isinstance(value, dict):
+            errors.append(f"field {path!r} should be an object, "
+                          f"got {reprlib.repr(value)}")
+            return
+        for field, sub in spec.items():
+            _check(value.get(field), sub, f"{path}.{field}", errors)
+    elif isinstance(spec, list):
+        if not isinstance(value, list) or not value:
+            errors.append(f"field {path!r} should be a non-empty list "
+                          f"of objects, got {reprlib.repr(value)}")
+            return
+        for i, item in enumerate(value):
+            _check(item, spec[0], f"{path}[{i}]", errors)
+    elif not isinstance(value, spec) or isinstance(value, bool):
+        errors.append(f"field {path!r} should be "
+                      f"{'/'.join(k.__name__ for k in spec)}, "
+                      f"got {reprlib.repr(value)}")
+
+
 def validate_event(event) -> list[str]:
     """Schema errors of one event dict (empty list = valid)."""
-    errors = []
     if not isinstance(event, dict):
-        return [f"event is not an object: {event!r}"]
+        return [f"event is not an object: {reprlib.repr(event)}"]
     type_ = event.get("type")
     if not isinstance(type_, str):
         return [f"missing/invalid 'type': {type_!r}"]
     if type_ not in EVENT_SCHEMA:
         return [f"unknown event type {type_!r}"]
-    if not isinstance(event.get("ts"), (int, float)):
-        errors.append(f"{type_}: missing/invalid 'ts'")
-    if not isinstance(event.get("pid"), int):
-        errors.append(f"{type_}: missing/invalid 'pid'")
-    for field, kinds in EVENT_SCHEMA[type_].items():
-        value = event.get(field)
-        if not isinstance(value, kinds) or isinstance(value, bool):
-            errors.append(f"{type_}: field {field!r} should be "
-                          f"{'/'.join(k.__name__ for k in kinds)}, "
-                          f"got {value!r}")
-    for field, kinds in _OPTIONAL_FIELDS.get(type_, {}).items():
-        value = event.get(field)
-        if value is not None and (not isinstance(value, kinds)
-                                  or isinstance(value, bool)):
-            errors.append(f"{type_}: optional field {field!r} "
-                          f"should be "
-                          f"{'/'.join(k.__name__ for k in kinds)}, "
-                          f"got {value!r}")
-    return errors
+    errors: list[str] = []
+    _check(event.get("ts"), (int, float), "ts", errors)
+    _check(event.get("pid"), (int,), "pid", errors)
+    for field, spec in EVENT_SCHEMA[type_].items():
+        _check(event.get(field), spec, field, errors)
+    for field, spec in _OPTIONAL_FIELDS.get(type_, {}).items():
+        if event.get(field) is not None:
+            _check(event[field], spec, field, errors)
+    return [f"{type_}: {e}" for e in errors]
 
 
 def validate_events(events) -> tuple[int, list[str]]:
@@ -370,26 +556,18 @@ def validate_events(events) -> tuple[int, list[str]]:
     return count, errors
 
 
-def validate_events_file(path) -> tuple[int, list[str]]:
-    """Validate a JSONL event stream file; ``(count, errors)``.
+def validate_file(path) -> tuple[int, list[str]]:
+    """Schema-check every line of a JSONL file; ``(lines, errors)``.
 
-    Unparseable lines are schema errors too (a live stream must never
-    tear: the JSONL sink writes each event with a single buffered
-    ``write``).
+    One validator for all three sinks (run records, audit records,
+    live events): a line that is not a JSON object and every schema
+    error come back as ``line N: ...`` messages. A missing or
+    unreadable file raises :class:`OSError`.
     """
-    count = 0
+    lines, __ = read_jsonl(path)
     errors: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            count += 1
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: not JSON ({exc})")
-                continue
-            errors.extend(f"line {lineno}: {e}"
-                          for e in validate_event(event))
-    return count, errors
+    for lineno, value in lines:
+        problems = ([value] if isinstance(value, str)
+                    else validate_event(value))
+        errors.extend(f"line {lineno}: {p}" for p in problems)
+    return len(lines), errors

@@ -40,7 +40,6 @@ from __future__ import annotations
 import collections
 import gc
 import http.server
-import json
 import logging
 import math
 import os
@@ -50,6 +49,7 @@ import time
 
 from repro.obs import bus as _bus
 from repro.obs import metrics as _metrics
+from repro.obs.env import env_flag
 from repro.obs.logging import get_logger, log_event
 
 __all__ = [
@@ -72,8 +72,6 @@ __all__ = [
 ]
 
 _log = get_logger(__name__)
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 #: Default sampler / heartbeat cadence in seconds.
 DEFAULT_INTERVAL_S = 0.5
@@ -723,7 +721,7 @@ class LiveState:
             conf = self.planner.get("confidence")
             if isinstance(conf, (int, float)):
                 out["live.planner_confidence"] = float(conf)
-            regret = self.planner.get("regret")
+            regret = _planner_regret(self.planner)
             if isinstance(regret, (int, float)) and \
                     math.isfinite(regret):
                 out["live.planner_regret"] = float(regret)
@@ -770,6 +768,29 @@ def _fmt_bytes(value: float) -> str:
                     else f"{int(value)} B")
         value /= 1024.0
     return f"{value:.1f} TB"  # pragma: no cover - unreachable
+
+
+def _planner_pick(event: dict) -> str:
+    """``METHOD+ordering`` of a planner event.
+
+    A ``planner.decision`` carries the pick as an object, a
+    ``planner.misplan`` as the joined key.
+    """
+    picked = event.get("picked")
+    if isinstance(picked, dict):
+        return f"{picked.get('method')}+{picked.get('ordering')}"
+    return str(picked) if picked is not None else "?"
+
+
+def _planner_regret(event: dict):
+    """Realized regret of a planner event (``None`` when unknown).
+
+    A decision holds it in ``realized.regret``, a misplan at the top.
+    """
+    realized = event.get("realized")
+    if isinstance(realized, dict):
+        return realized.get("regret")
+    return event.get("regret")
 
 
 def render_status(state: LiveState) -> str:
@@ -842,7 +863,7 @@ def render_status(state: LiveState) -> str:
         conf = ev.get("confidence")
         conf_txt = (f"  conf {conf:.2f}"
                     if isinstance(conf, (int, float)) else "")
-        regret = ev.get("regret")
+        regret = _planner_regret(ev)
         regret_txt = ""
         if isinstance(regret, (int, float)):
             regret_txt = ("  regret inf" if math.isinf(regret)
@@ -851,7 +872,7 @@ def render_status(state: LiveState) -> str:
         kind_txt = f"  [{kind}]" if isinstance(kind, str) else ""
         misplan_txt = (f"  misplans {state.misplans}"
                        if state.misplans else "")
-        lines.append(f"planner  : {ev.get('picked', '?'):<16} "
+        lines.append(f"planner  : {_planner_pick(ev):<16} "
                      f"{flag:<8}{conf_txt}{regret_txt}{kind_txt}"
                      f"{misplan_txt}")
         if state.drift is not None:
@@ -862,31 +883,6 @@ def render_status(state: LiveState) -> str:
                 f"{d.get('calibrated', 0.0):.3g}x "
                 f"({d.get('factor', 0.0):.1f}x apart)")
     return "\n".join(lines)
-
-
-def read_events(path, offset: int = 0) -> tuple[list[dict], int]:
-    """Parse events from ``path`` starting at byte ``offset``.
-
-    Returns ``(events, new_offset)``; a trailing partial line (the
-    producer mid-write) is left for the next call. The follower loop
-    of ``repro top`` calls this repeatedly.
-    """
-    events: list[dict] = []
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        data = fh.read()
-    end = data.rfind(b"\n")
-    if end < 0:
-        return events, offset
-    for line in data[:end].splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return events, offset + end + 1
 
 
 # ------------------------------------------------------- enable / disable
@@ -952,11 +948,10 @@ def enable_from_env() -> bool:
     ``REPRO_LIVE_INTERVAL`` (cadence seconds), ``REPRO_LIVE_PORT``
     (Prometheus endpoint port).
     """
-    if os.environ.get("REPRO_LIVE", "").strip().lower() not in _TRUTHY:
+    if not env_flag("REPRO_LIVE"):
         return False
     events_path = os.environ.get("REPRO_LIVE_EVENTS", "").strip() or None
-    ticker = (os.environ.get("REPRO_LIVE_TICKER", "").strip().lower()
-              in _TRUTHY)
+    ticker = env_flag("REPRO_LIVE_TICKER")
     port_raw = os.environ.get("REPRO_LIVE_PORT", "").strip()
     port = None
     if port_raw:

@@ -16,7 +16,8 @@ are enabled *and* ``REPRO_PROFILE`` is set (or an explicit
 the shared no-op span -- is untouched and the instrumented library
 costs nothing extra. ``REPRO_PROFILE=1`` attaches the default top
 :data:`DEFAULT_TOP_K` functions; ``REPRO_PROFILE=40`` raises the
-cutoff to 40; ``0`` / unset disables.
+cutoff to 40; ``0`` / unset disables (parsed by
+:func:`repro.obs.env.env_top_k`).
 
 cProfile cannot nest, so only the *root* of each span tree profiles;
 descendants are covered by the root's run and the span hierarchy
@@ -25,39 +26,16 @@ itself attributes their share of the wall clock.
 
 from __future__ import annotations
 
-import os
 import pstats
 
 __all__ = [
     "DEFAULT_TOP_K",
     "format_profile",
-    "profile_top_k_from_env",
     "top_functions",
 ]
 
 #: Functions kept per profiled span when ``REPRO_PROFILE=1``.
 DEFAULT_TOP_K = 20
-
-_FALSY = {"", "0", "false", "no", "off"}
-
-
-def profile_top_k_from_env() -> int:
-    """Resolve ``REPRO_PROFILE`` to a top-K count (0 = disabled).
-
-    Truthy words (``1``/``true``/``yes``/``on``) mean
-    :data:`DEFAULT_TOP_K`; an integer above 1 is taken as the K
-    itself; anything falsy or unparsable disables profiling.
-    """
-    raw = os.environ.get("REPRO_PROFILE", "").strip().lower()
-    if raw in _FALSY:
-        return 0
-    if raw in {"1", "true", "yes", "on"}:
-        return DEFAULT_TOP_K
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
 
 def top_functions(profiler, top_k: int = DEFAULT_TOP_K) -> list[dict]:
     """Top-K functions of a finished profiler, by cumulative time.

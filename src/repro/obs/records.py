@@ -4,20 +4,19 @@ A :class:`RunRecord` bundles what a benchmark or experiment just did --
 the finished span trees, a metrics snapshot, the run configuration
 (method, permutation, n, seed, ...) and environment metadata (git
 revision, python version, wall-clock timestamp) -- and appends it as
-one JSON line to a ``runs.jsonl`` sink (default
+one ``run.end`` line to a ``runs.jsonl`` sink (default
 ``benchmarks/results/runs.jsonl``, overridable via the
-``REPRO_RUNS_FILE`` environment variable or an explicit path).
+``REPRO_RUNS_FILE`` environment variable or an explicit path). The
+line is written and read back through :mod:`repro.obs.bus`, like every
+other typed line.
 
-The serializer is numpy-aware (:func:`json_default`) and also
-round-trips :class:`~repro.listing.base.ListingResult` objects via
+:class:`~repro.listing.base.ListingResult` objects round-trip via
 :func:`listing_result_to_dict` / :func:`listing_result_from_dict`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import logging
 import os
 import pathlib
 import shutil
@@ -25,17 +24,17 @@ import subprocess
 import sys
 import time
 
+from repro.obs import bus as _bus
 from repro.obs import metrics as _metrics
 from repro.obs import spans as _spans
+from repro.obs.bus import json_default
 
 __all__ = [
     "DEFAULT_RUNS_PATH",
     "RunRecord",
     "collect",
-    "fsync_from_env",
     "git_revision",
     "host_meta",
-    "append_jsonl_line",
     "json_default",
     "listing_result_from_dict",
     "listing_result_to_dict",
@@ -47,8 +46,6 @@ __all__ = [
 
 DEFAULT_RUNS_PATH = pathlib.Path("benchmarks") / "results" / "runs.jsonl"
 
-_FALSY = {"0", "false", "no", "off"}
-
 _git_rev_cache: str | None = None
 _git_rev_known = False
 
@@ -59,17 +56,6 @@ def runs_path(path=None) -> pathlib.Path:
         return pathlib.Path(path)
     env = os.environ.get("REPRO_RUNS_FILE", "").strip()
     return pathlib.Path(env) if env else DEFAULT_RUNS_PATH
-
-
-def fsync_from_env() -> bool:
-    """Whether appends fsync: ``REPRO_FSYNC`` (default on).
-
-    Benchmark drivers set ``REPRO_FSYNC=0`` so a tight emit loop is not
-    dominated by per-record disk flushes; the ``O_APPEND``
-    single-``write`` append stays atomic either way -- only the
-    durability-on-power-loss guarantee is relaxed.
-    """
-    return os.environ.get("REPRO_FSYNC", "").strip().lower() not in _FALSY
 
 
 _compiler_version_cache = _UNRESOLVED = object()
@@ -138,24 +124,6 @@ def git_revision() -> str | None:
     return _git_rev_cache
 
 
-def json_default(obj):
-    """``json.dumps`` fallback handling numpy scalars/arrays and more."""
-    if hasattr(obj, "item") and not isinstance(obj, dict):
-        try:
-            return obj.item()  # numpy scalar
-        except (TypeError, ValueError):
-            pass
-    if hasattr(obj, "tolist"):
-        return obj.tolist()  # numpy array
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    if isinstance(obj, pathlib.Path):
-        return str(obj)
-    return str(obj)
-
-
 @dataclasses.dataclass
 class RunRecord:
     """One machine-readable run: spans + metrics + config + metadata."""
@@ -166,9 +134,11 @@ class RunRecord:
     metrics: dict = dataclasses.field(default_factory=dict)
     meta: dict = dataclasses.field(default_factory=dict)
 
-    def to_json(self) -> str:
-        """Serialize to one JSON line (no trailing newline)."""
-        return json.dumps(dataclasses.asdict(self), default=json_default)
+    def to_dict(self) -> dict:
+        """The record as a ``run.end`` event, stamped now like
+        :func:`repro.obs.bus.emit` stamps an event."""
+        return {"type": "run.end", "ts": time.time(), "pid": os.getpid(),
+                **dataclasses.asdict(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
@@ -233,53 +203,17 @@ def collect(name: str, config: dict | None = None,
     )
 
 
-def append_jsonl_line(path, line: str,
-                      fsync: bool | None = None) -> pathlib.Path:
-    """Append one pre-serialized JSON line to ``path`` atomically.
-
-    The shared low-level appender behind :func:`write_record` and the
-    audit log (:mod:`repro.obs.audit`). The append is atomic at the
-    line level: the caller serializes fully *before* the file is
-    touched, then the line goes through one ``O_APPEND`` descriptor,
-    so a crashed or concurrent writer can tear at most its own line --
-    it can never interleave bytes into another record.
-
-    ``fsync=None`` (the default) consults ``REPRO_FSYNC`` via
-    :func:`fsync_from_env`: flushes stay on unless a caller (the
-    benchmark drivers) opts out of per-append durability.
-    """
-    if fsync is None:
-        fsync = fsync_from_env()
-    sink = pathlib.Path(path)
-    sink.parent.mkdir(parents=True, exist_ok=True)
-    payload = (line.rstrip("\n") + "\n").encode("utf-8")
-    fd = os.open(str(sink), os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                 0o644)
-    try:
-        # One write per record: O_APPEND makes each call an atomic
-        # append, so the loop only continues on a short write (ENOSPC
-        # territory) rather than splitting a healthy line.
-        view = memoryview(payload)
-        while view:
-            view = view[os.write(fd, view):]
-        if fsync:
-            os.fsync(fd)
-    finally:
-        os.close(fd)
-    return sink
-
-
 def write_record(record: RunRecord, path=None,
                  fsync: bool | None = None) -> pathlib.Path:
     """Append ``record`` as one JSONL line; returns the sink path.
 
-    See :func:`append_jsonl_line` for the atomicity and fsync
-    contract; :func:`load_records` keeps its skip-with-warning path as
-    the fallback for histories written before this guarantee (or torn
-    by power loss mid-sector).
+    See :func:`repro.obs.bus.append_jsonl_line` for the atomicity and
+    fsync contract; :func:`load_records` keeps its skip-with-warning
+    path as the fallback for histories written before this guarantee
+    (or torn by power loss mid-sector).
     """
-    return append_jsonl_line(runs_path(path), record.to_json(),
-                             fsync=fsync)
+    return _bus.append_jsonl_line(runs_path(path), record.to_dict(),
+                                  fsync=fsync)
 
 
 def record_run(name: str, config: dict | None = None,
@@ -299,32 +233,10 @@ def load_records(path=None) -> list[RunRecord]:
     sink = runs_path(path)
     if not sink.exists():
         return []
-    out = []
-    skipped = 0
-    first_bad: tuple[int, str] | None = None
-    for lineno, line in enumerate(
-            sink.read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            data = str(exc)
-        if not isinstance(data, dict):
-            skipped += 1
-            if first_bad is None:
-                first_bad = (lineno, str(data))
-            continue
-        out.append(RunRecord.from_dict(data))
-    if skipped:
-        _metrics.inc("records.corrupted", skipped)
-        from repro.obs.logging import get_logger, log_event
-        log_event(get_logger(__name__), logging.WARNING,
-                  "skipped corrupted run-record lines", path=str(sink),
-                  skipped=skipped, first_bad_line=first_bad[0],
-                  detail=first_bad[1])
-    return out
+    lines, __ = _bus.read_jsonl(sink, counter="records.corrupted",
+                                what="run-record")
+    return [RunRecord.from_dict(value) for __, value in lines
+            if isinstance(value, dict)]
 
 
 def listing_result_to_dict(result) -> dict:

@@ -33,6 +33,8 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.obs.env import env_top_k
+
 __all__ = [
     "Span",
     "current_span",
@@ -316,15 +318,13 @@ def enable(memory: bool = False, profile: int | None = None,
     ``profile`` controls per-top-level-span :mod:`cProfile`
     attribution: an int is the top-K function count to attach (0
     disables), ``None`` (the default) consults the ``REPRO_PROFILE``
-    environment knob via
-    :func:`repro.obs.profiling.profile_top_k_from_env` -- so every
+    environment knob via :func:`repro.obs.env.env_top_k` -- so every
     existing enable path (``--trace``, ``REPRO_TRACE=1``, the bench
     drivers, pool workers) picks the mode up without new plumbing.
 
     ``alloc`` is the same design for per-top-level-span *allocation*
     attribution (``span.alloc``, top-K net-allocating source lines):
-    ``None`` consults ``REPRO_TRACEMALLOC`` via
-    :func:`repro.obs.memory.tracemalloc_top_k_from_env`. A non-zero K
+    ``None`` consults ``REPRO_TRACEMALLOC`` the same way. A non-zero K
     starts :mod:`tracemalloc` if nothing else has.
     """
     global _enabled, _trace_memory, _profile_top_k, _alloc_top_k
@@ -335,13 +335,13 @@ def enable(memory: bool = False, profile: int | None = None,
             tracemalloc.start()
     _trace_memory = bool(memory)
     if profile is None:
-        from repro.obs.profiling import profile_top_k_from_env
-        _profile_top_k = profile_top_k_from_env()
+        from repro.obs.profiling import DEFAULT_TOP_K
+        _profile_top_k = env_top_k("REPRO_PROFILE", DEFAULT_TOP_K)
     else:
         _profile_top_k = max(0, int(profile))
     if alloc is None:
-        from repro.obs.memory import tracemalloc_top_k_from_env
-        _alloc_top_k = tracemalloc_top_k_from_env()
+        from repro.obs.memory import DEFAULT_ALLOC_TOP_K, TRACEMALLOC_ENV
+        _alloc_top_k = env_top_k(TRACEMALLOC_ENV, DEFAULT_ALLOC_TOP_K)
     else:
         _alloc_top_k = max(0, int(alloc))
     if _alloc_top_k:

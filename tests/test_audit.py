@@ -17,6 +17,7 @@ import math
 import time as time_mod
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro import cli, obs
@@ -151,7 +152,7 @@ class TestAutoRouteRecords:
         run_pipeline(pareto_graph, method="auto")
         oriented = orient(pareto_graph, DescendingDegree())
         list_triangles(oriented, method="auto")
-        count, errors = audit.validate_audit_file(sink)
+        count, errors = bus.validate_file(sink)
         assert count == 2
         assert errors == []
 
@@ -166,8 +167,8 @@ class TestAutoRouteRecords:
 
 
 def validate_clean(rec) -> bool:
-    errors = audit.validate_audit_record(rec)
-    assert errors == []
+    assert rec["type"] == "planner.decision"
+    assert bus.validate_event(rec) == []
     return True
 
 
@@ -329,33 +330,41 @@ class TestDiagnose:
 
 class TestValidation:
     def test_not_a_dict(self):
-        assert audit.validate_audit_record([1, 2])
+        assert bus.validate_event([1, 2])
 
     def test_missing_and_mistyped_fields(self, pareto_graph, tmp_path,
                                          monkeypatch):
         sink = enable_audit(monkeypatch, tmp_path)
         run_pipeline(pareto_graph, method="auto")
         rec = audit.load_audit(sink)[0]
-        assert audit.validate_audit_record(rec) == []
+        assert bus.validate_event(rec) == []
         bad = dict(rec)
         del bad["route"]
-        assert any("route" in e for e in audit.validate_audit_record(bad))
+        assert any("route" in e for e in bus.validate_event(bad))
         bad = dict(rec, confidence="high")
-        assert any("confidence" in e
-                   for e in audit.validate_audit_record(bad))
+        assert any("confidence" in e for e in bus.validate_event(bad))
         bad = dict(rec, entries=[])
-        assert any("entries" in e
-                   for e in audit.validate_audit_record(bad))
+        assert any("entries" in e for e in bus.validate_event(bad))
         # booleans are not acceptable stand-ins for numbers
         bad = dict(rec, schema=True)
-        assert any("schema" in e for e in audit.validate_audit_record(bad))
+        assert any("schema" in e for e in bus.validate_event(bad))
+        # nested objects and table rows are checked field by field
+        bad = dict(rec, picked=dict(rec["picked"], ordering=3))
+        assert any("picked.ordering" in e for e in bus.validate_event(bad))
+        bad = dict(rec, entries=[dict(rec["entries"][0], rank="1")])
+        assert any("entries[0].rank" in e
+                   for e in bus.validate_event(bad))
+        bad = dict(rec, realized={"regret": "0"})
+        assert any("realized.regret" in e
+                   for e in bus.validate_event(bad))
 
     def test_validate_file_flags_corrupt_lines(self, tmp_path):
         sink = tmp_path / "audit.jsonl"
-        sink.write_text('{"schema": 1}\nnot json\n', encoding="utf-8")
-        count, errors = audit.validate_audit_file(sink)
+        sink.write_text('{"type": "planner.decision", "schema": 1}\n'
+                        'not json\n', encoding="utf-8")
+        count, errors = bus.validate_file(sink)
         assert count == 2
-        assert any("not JSON" in e for e in errors)
+        assert any("line 2: not JSON" in e for e in errors)
         assert any("line 1" in e for e in errors)  # missing fields
 
 
@@ -453,8 +462,8 @@ class TestAnalyzer:
 class TestAppendJsonl:
     def test_creates_parents_and_appends(self, tmp_path):
         sink = tmp_path / "deep" / "dir" / "log.jsonl"
-        records.append_jsonl_line(sink, '{"a": 1}')
-        records.append_jsonl_line(sink, '{"a": 2}\n')  # newline ok
+        bus.append_jsonl_line(sink, {"a": 1})
+        bus.append_jsonl_line(sink, {"a": np.int64(2)})  # numpy-aware
         lines = sink.read_text(encoding="utf-8").splitlines()
         assert [json.loads(l)["a"] for l in lines] == [1, 2]
 
@@ -685,12 +694,32 @@ def rows_have_dash(rendered: str) -> bool:
 
 # -------------------------------------------------------- live + repro top
 
+def _decision(confidence=0.31, regret=0.2, ts=5.0):
+    """A ``planner.decision`` event in the audit record's shape."""
+    picked = {"method": "E1", "ordering": "D", "family": "sei",
+              "predicted_cost": 3.0, "predicted_time": 0.03}
+    return {
+        "type": "planner.decision", "schema": audit.AUDIT_SCHEMA_VERSION,
+        "ts": ts, "pid": 1, "route": "list_triangles", "source": "graph",
+        "speed_ratio": 94.8, "n": 100, "m": 300,
+        "graph_class": "sparse-light", "picked": picked,
+        "confidence": confidence,
+        "entries": [{"rank": 1, "method": "E1", "ordering": "D",
+                     "family": "sei", "cost": 3.0, "time": 0.03}],
+        "actual": None,
+        "realized": {"oracle": "E1+D", "oracle_time": 0.025,
+                     "picked_time": 0.03, "regret": regret},
+        "ratios": {}, "diagnosis": {"kind": "ok", "detail": ""},
+    }
+
+
 class TestLivePlannerLine:
     def test_state_folds_planner_events(self):
         state = live.LiveState()
-        state.update({"type": "planner.decision", "route": "x",
-                      "picked": "E1+D", "confidence": 0.3, "ts": 1.0})
-        assert state.planner["picked"] == "E1+D"
+        state.update(_decision(confidence=0.3, ts=1.0))
+        assert state.planner["picked"]["method"] == "E1"
+        assert state.to_gauges()["live.planner_regret"] == \
+            pytest.approx(0.2)
         state.update({"type": "planner.misplan", "route": "x",
                       "picked": "T1+D", "oracle": "E1+D",
                       "regret": 0.5, "kind": "tie_margin", "ts": 2.0})
@@ -719,10 +748,8 @@ class TestLivePlannerLine:
 
     def test_top_once_shows_latest_decision(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
-        events.write_text(json.dumps(
-            {"type": "planner.decision", "route": "list_triangles",
-             "picked": "E1+D", "confidence": 0.31, "ts": 5.0}) + "\n",
-            encoding="utf-8")
+        events.write_text(json.dumps(_decision()) + "\n",
+                          encoding="utf-8")
         assert cli.main(["top", "--events", str(events), "--once"]) == 0
         out = capsys.readouterr().out
         assert "planner" in out
@@ -730,10 +757,41 @@ class TestLivePlannerLine:
         assert "conf 0.31" in out
 
 
+class TestDecisionIsOneRecord:
+    def test_audit_line_is_the_published_event(self, pareto_graph,
+                                               tmp_path, monkeypatch,
+                                               capsys):
+        sink = enable_audit(monkeypatch, tmp_path)
+        stream = tmp_path / "events.jsonl"
+        memory_sink = bus.MemorySink()
+        bus.add_sink(memory_sink)
+        bus.add_sink(bus.JsonlSink(stream))
+        bus.enable()
+        oriented = orient(pareto_graph, DescendingDegree())
+        list_triangles(oriented, method="auto")
+        (line,) = sink.read_text(encoding="utf-8").splitlines()
+        (event,) = memory_sink.of_type("planner.decision")
+        assert json.loads(line) == event
+        assert bus.validate_event(event) == []
+        (streamed,) = [json.loads(l) for l in
+                       stream.read_text(encoding="utf-8").splitlines()
+                       if '"planner.decision"' in l]
+        assert streamed == event
+        # repro top renders the pick and confidence from that record
+        assert cli.main(["top", "--events", str(stream), "--once"]) == 0
+        out = capsys.readouterr().out
+        picked = event["picked"]
+        assert f"{picked['method']}+{picked['ordering']}" in out
+        assert f"conf {event['confidence']:.2f}" in out
+        state = live.LiveState()
+        state.update(streamed)
+        assert state.to_gauges()["live.planner_regret"] == \
+            event["realized"]["regret"]
+
+
 class TestBusSchema:
     @pytest.mark.parametrize("event", [
-        {"type": "planner.decision", "ts": 1.0, "route": "a",
-         "picked": "E1+D", "confidence": 0.5, "pid": 1},
+        _decision(),
         {"type": "planner.misplan", "ts": 1.0, "route": "a",
          "picked": "T1+D", "oracle": "E1+D", "regret": 0.5,
          "kind": "tie_margin", "pid": 1},
@@ -800,15 +858,13 @@ class TestAuditCLI:
         assert cli.main(["audit", "misplans", "--file",
                          str(sink)]) == 0
         assert "no misplans" in capsys.readouterr().out
-        assert cli.main(["audit", "validate", "--file",
-                         str(sink)]) == 0
-        assert "2 audit record(s) OK" in capsys.readouterr().out
+        assert cli.main(["validate", str(sink)]) == 0
+        assert "2 line(s) OK" in capsys.readouterr().out
 
     def test_validate_rejects_corrupt(self, tmp_path, capsys):
         sink = tmp_path / "audit.jsonl"
         sink.write_text("garbage\n", encoding="utf-8")
-        assert cli.main(["audit", "validate", "--file",
-                         str(sink)]) == 1
+        assert cli.main(["validate", str(sink)]) == 1
         assert "not JSON" in capsys.readouterr().err
 
     def test_calibration_cold_and_populated(self, tmp_path, capsys):

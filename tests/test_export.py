@@ -12,6 +12,7 @@ from repro.experiments.parallel import sweep_n_parallel
 from repro.obs import export, metrics, profiling
 from repro.obs import records as obs_records
 from repro.obs import report as obs_report
+from repro.obs.env import env_top_k
 from repro.obs.export import MAIN_TID
 
 
@@ -184,7 +185,8 @@ class TestProfiling:
                  "true": profiling.DEFAULT_TOP_K, "40": 40}
         for raw, expected in cases.items():
             monkeypatch.setenv("REPRO_PROFILE", raw)
-            assert profiling.profile_top_k_from_env() == expected
+            assert env_top_k("REPRO_PROFILE",
+                             profiling.DEFAULT_TOP_K) == expected
 
     def test_top_level_span_gets_profile(self):
         obs.enable(profile=5)

@@ -266,24 +266,25 @@ class TestCliLive:
         path.write_text("".join(json.dumps(e) + "\n" for e in events))
         return path
 
-    def test_top_validate_ok(self, tmp_path, capsys):
+    def test_validate_ok(self, tmp_path, capsys):
         path = self._write_stream(tmp_path)
-        assert main(["top", "--events", str(path), "--validate"]) == 0
-        assert "3 event(s) OK" in capsys.readouterr().out
+        assert main(["validate", str(path)]) == 0
+        assert "3 line(s) OK" in capsys.readouterr().out
 
-    def test_top_validate_rejects_bad_stream(self, tmp_path, capsys):
-        path = tmp_path / "events.jsonl"
+    def test_validate_rejects_bad_stream(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "progress", "ts": 1.0, "pid": 1}\n'
                         "not json at all\n")
-        assert main(["top", "--events", str(path), "--validate"]) == 1
-        err = capsys.readouterr().err
-        assert "schema error" in err
-        assert "not JSON" in err
+        good = self._write_stream(tmp_path)
+        assert main(["validate", str(good), str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "3 line(s) OK" in captured.out
+        assert "schema error" in captured.err
+        assert "not JSON" in captured.err
 
-    def test_top_validate_missing_file(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["top", "--events", str(tmp_path / "nope.jsonl"),
-                  "--validate"])
+    def test_validate_missing_file(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path / "nope.jsonl")]) == 1
+        assert "cannot read" in capsys.readouterr().err
 
     def test_top_once_renders_state(self, tmp_path, capsys):
         path = self._write_stream(tmp_path)
@@ -334,7 +335,7 @@ class TestCliLive:
         monkeypatch.setenv("REPRO_LIVE_INTERVAL", "0.05")
         assert main(["model", "--alpha", "1.5", "--n", "1000",
                      "--method", "T1", "--map", "descending"]) == 0
-        count, errors = bus.validate_events_file(events)
+        count, errors = bus.validate_file(events)
         assert count >= 1
         assert errors == []
         sample_lines = [line for line in events.read_text().splitlines()

@@ -14,6 +14,7 @@ from repro import DescendingDegree, DiscretePareto, obs
 from repro.distributions import root_truncation
 from repro.experiments.harness import SimulationSpec, sweep_n
 from repro.obs import bus, live, metrics, records
+from repro.obs.env import env_flag
 
 
 @pytest.fixture(autouse=True)
@@ -83,7 +84,7 @@ class TestBus:
         bus.emit("run.start", name="r")
         bus.emit("phase", name="cell", status="start")
         sink.close()
-        count, errors = bus.validate_events_file(path)
+        count, errors = bus.validate_file(path)
         assert count == 2
         assert errors == []
 
@@ -99,7 +100,7 @@ class TestBus:
         path = tmp_path / "events.jsonl"
         path.write_text('{"type": "run.start", "name": "r", "ts": 1.0,'
                         ' "pid": 1}\n{"type": "run.end", "na\n')
-        count, errors = bus.validate_events_file(path)
+        count, errors = bus.validate_file(path)
         assert count == 2
         assert len(errors) == 1
         assert "not JSON" in errors[0]
@@ -388,13 +389,35 @@ class TestLiveState:
         path = tmp_path / "events.jsonl"
         path.write_text('{"type": "run.start", "name": "r"}\n'
                         '{"type": "run.e')  # producer mid-write
-        events, offset = live.read_events(path, 0)
-        assert [e["type"] for e in events] == ["run.start"]
+        lines, offset = bus.read_jsonl(path, 0, follow=True)
+        assert [e["type"] for __, e in lines] == ["run.start"]
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('nd", "name": "r"}\n')
-        events, offset = live.read_events(path, offset)
-        assert [e["type"] for e in events] == ["run.end"]
-        assert live.read_events(path, offset) == ([], offset)
+        lines, offset = bus.read_jsonl(path, offset, follow=True)
+        assert [e["type"] for __, e in lines] == ["run.end"]
+        assert bus.read_jsonl(path, offset, follow=True) == ([], offset)
+
+    def test_follower_restarts_when_stream_is_recreated(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(
+            json.dumps({"type": "phase", "name": f"p{i}",
+                        "status": "start"}) + "\n" for i in range(3)))
+        lines, offset = bus.read_jsonl(path, 0, follow=True)
+        assert len(lines) == 3
+        # a new run recreates the stream, shorter than the old offset
+        path.write_text(json.dumps({"type": "run.start", "name": "new"})
+                        + "\n")
+        lines, offset = bus.read_jsonl(path, offset, follow=True)
+        assert [e["name"] for __, e in lines] == ["new"]
+        assert offset == path.stat().st_size
+        # growth continues from the new offset, no torn fragment
+        with open(path, "a", encoding="utf-8") as fh:
+            for i in range(4):
+                fh.write(json.dumps({"type": "phase", "name": f"q{i}",
+                                     "status": "end"}) + "\n")
+        lines, __ = bus.read_jsonl(path, offset, follow=True)
+        assert [e["name"] for __, e in lines] == [f"q{i}"
+                                                  for i in range(4)]
 
 
 class TestRuntimeLifecycle:
@@ -406,7 +429,7 @@ class TestRuntimeLifecycle:
         live.disable()
         assert not live.is_enabled()
         assert not bus.is_enabled()
-        count, errors = bus.validate_events_file(events)
+        count, errors = bus.validate_file(events)
         assert count >= 1  # the sampler's first + final samples
         assert errors == []
 
@@ -461,12 +484,14 @@ class TestRuntimeLifecycle:
 class TestFsyncFlag:
     def test_env_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_FSYNC", raising=False)
-        assert records.fsync_from_env()
+        assert env_flag("REPRO_FSYNC", default=True)
+        monkeypatch.setenv("REPRO_FSYNC", "")
+        assert env_flag("REPRO_FSYNC", default=True)
         for raw in ("0", "false", "no", "OFF"):
             monkeypatch.setenv("REPRO_FSYNC", raw)
-            assert not records.fsync_from_env()
+            assert not env_flag("REPRO_FSYNC", default=True)
         monkeypatch.setenv("REPRO_FSYNC", "1")
-        assert records.fsync_from_env()
+        assert env_flag("REPRO_FSYNC", default=True)
 
     def test_appends_stay_atomic_without_fsync(self, tmp_path,
                                                monkeypatch):

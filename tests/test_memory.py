@@ -20,6 +20,7 @@ from repro.distributions.sampling import sample_degree_sequence
 from repro.experiments.harness import SimulationSpec, sweep_n
 from repro.graphs.generators import generate_graph
 from repro.obs import bus, live, memory, metrics
+from repro.obs.env import env_top_k
 from repro.orientations.relabel import orient
 
 
@@ -392,15 +393,18 @@ class TestLiveSurface:
 
 class TestAllocAttribution:
     def test_env_knob(self, monkeypatch):
+        def top_k():
+            return env_top_k(memory.TRACEMALLOC_ENV,
+                             memory.DEFAULT_ALLOC_TOP_K)
+
         monkeypatch.delenv(memory.TRACEMALLOC_ENV, raising=False)
-        assert memory.tracemalloc_top_k_from_env() == 0
+        assert top_k() == 0
         monkeypatch.setenv(memory.TRACEMALLOC_ENV, "1")
-        assert memory.tracemalloc_top_k_from_env() == \
-            memory.DEFAULT_ALLOC_TOP_K
+        assert top_k() == memory.DEFAULT_ALLOC_TOP_K
         monkeypatch.setenv(memory.TRACEMALLOC_ENV, "7")
-        assert memory.tracemalloc_top_k_from_env() == 7
+        assert top_k() == 7
         monkeypatch.setenv(memory.TRACEMALLOC_ENV, "bogus")
-        assert memory.tracemalloc_top_k_from_env() == 0
+        assert top_k() == 0
 
     def test_span_carries_top_allocations(self):
         obs.spans.enable(alloc=5)
@@ -472,7 +476,7 @@ class TestRecordsAndExports:
         summary = record.metrics["memory"]
         assert summary["current_bytes"] == 4096
         assert summary["tags"][0]["tag"] == "rec.tag"
-        json.loads(record.to_json())
+        json.loads(json.dumps(record.to_dict(), default=bus.json_default))
 
     def test_trace_gets_memory_counter_track(self):
         from repro.obs import export, records

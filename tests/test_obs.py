@@ -2,14 +2,16 @@
 
 import json
 import logging
+import os
 import threading
 
 import numpy as np
 import pytest
 
-from repro import obs
-from repro.obs import metrics, records, spans
+from repro import cli, obs
+from repro.obs import audit, bus, metrics, records, spans
 from repro.obs.logging import StructuredFormatter, get_logger, log_event
+from repro.planner.plan import plan_for_graph
 
 
 @pytest.fixture(autouse=True)
@@ -263,6 +265,99 @@ class TestRecords:
         parsed = json.loads(json.dumps(payload,
                                        default=records.json_default))
         assert parsed == {"i": 1, "f": 2.5, "a": [1, 2], "s": [1, 3]}
+
+    def test_record_is_a_run_end_event(self, tmp_path):
+        sink = tmp_path / "runs.jsonl"
+        records.write_record(records.RunRecord("one"), sink)
+        line = json.loads(sink.read_text(encoding="utf-8"))
+        assert line["type"] == "run.end"
+        assert line["pid"] == os.getpid()
+        assert bus.validate_event(line) == []
+        assert [r.name for r in records.load_records(sink)] == ["one"]
+
+
+def _fill_sink(kind, path, graph):
+    """Two valid lines through the sink's own writer; their names."""
+    names = ["one", "two"]
+    if kind == "runs":
+        for name in names:
+            records.write_record(records.RunRecord(name), path)
+    elif kind == "audit":
+        plan = plan_for_graph(graph)
+        for name in names:
+            record = audit.open_record(plan, name)
+            audit.write_audit_record(
+                audit.finish_record(record, exact_plan=plan,
+                                    stored_ratio=2.0), path)
+    else:
+        events = bus.EventBus()
+        events.add_sink(bus.JsonlSink(path))
+        for name in names:
+            events.emit("run.start", name=name)
+    return names
+
+
+def _read_sink(kind, path):
+    """The names the sink's loader (or ``repro top`` follower) returns."""
+    if kind == "runs":
+        return [r.name for r in records.load_records(path)]
+    if kind == "audit":
+        return [r["route"] for r in audit.load_audit(path)]
+    lines, __ = bus.read_jsonl(path, follow=True,
+                               counter="events.corrupted")
+    return [e["name"] for __, e in lines if isinstance(e, dict)]
+
+
+class TestTypedSinks:
+    """Runs, audit and events files share one reader and validator."""
+
+    # the live follower leaves a torn last line for its next read (a
+    # producer mid-write), so it skips only the non-object line
+    @pytest.mark.parametrize("kind, counter, skipped", [
+        ("runs", "records.corrupted", 2),
+        ("audit", "audit.corrupted", 2),
+        ("events", "events.corrupted", 1),
+    ])
+    def test_bad_lines_skipped_counted_and_reported(
+            self, kind, counter, skipped, tmp_path, pareto_graph,
+            caplog, capsys):
+        path = tmp_path / f"{kind}.jsonl"
+        first, second = _fill_sink(kind, path, pareto_graph)
+        good = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(f"{good[0]}\n[1, 2]\n{good[1]}\n"
+                        '{"type": "run.e', encoding="utf-8")
+        metrics.enable()
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            assert _read_sink(kind, path) == [first, second]
+        (warning,) = [r for r in caplog.records
+                      if r.levelno == logging.WARNING]
+        assert warning.fields["skipped"] == skipped
+        assert warning.fields["first_bad_line"] == 2
+        assert metrics.snapshot()["counters"][counter] == skipped
+
+        count, errors = bus.validate_file(path)
+        assert count == 4
+        assert [e.split(":")[0] for e in errors] == ["line 2", "line 4"]
+        assert "not a JSON object" in errors[0]
+        assert "not JSON" in errors[1]
+        assert cli.main(["validate", str(path)]) == 1
+        assert "2 schema error(s)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["runs", "audit", "events"])
+    def test_clean_sink_validates(self, kind, tmp_path, pareto_graph,
+                                  capsys):
+        path = tmp_path / f"{kind}.jsonl"
+        _fill_sink(kind, path, pareto_graph)
+        assert cli.main(["validate", str(path)]) == 0
+        assert "2 line(s) OK" in capsys.readouterr().out
+
+    def test_run_record_spans_must_be_a_list(self, tmp_path, capsys):
+        path = tmp_path / "runs.jsonl"
+        bad = records.RunRecord("one").to_dict()
+        bad["spans"] = {"name": "list"}
+        bus.append_jsonl_line(path, bad)
+        assert cli.main(["validate", str(path)]) == 1
+        assert "field 'spans' should be list" in capsys.readouterr().err
 
 
 class TestEnableDisable:
