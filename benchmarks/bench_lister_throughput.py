@@ -3,7 +3,7 @@
 Not a paper table -- an engineering companion to Table 3: how fast
 this library's listers run per edge in this interpreter, across all
 three engines: the instrumented pure-Python reference, the *pure*
-NumPy kernels (``use_native=False``), and the compiled native kernels
+NumPy kernels (``run_numpy``), and the compiled native kernels
 of :mod:`repro.engine.native` (count-only, the paper-scale workload;
 plus one native full-listing measurement). pytest-benchmark times the
 individual methods; the summary test measures every (method, engine)
@@ -64,6 +64,7 @@ def oriented():
     # native block decomposition)
     g.edge_key_set()
     list_triangles(g, "T1", collect=False, engine="numpy")
+    native.count_triangles(g)
     return g
 
 

@@ -13,21 +13,23 @@ in closed form from the oriented degrees, eqs. (7)-(9)).
 When a C toolchain is present, :mod:`repro.engine.native` compiles a
 small pthreads kernel library at first use (merge- and bitmap-based
 forward intersection, counting *and* triangle emission, deterministic
-multi-thread block driver) and both the count and the collect paths
-drop into it transparently; ``REPRO_NATIVE=0`` or a failed compile
-falls back to the pure-NumPy kernels with identical results.
+multi-thread block driver). :func:`run_native` runs it and raises
+:class:`NativeUnavailable` when ``REPRO_NATIVE`` is off or the compile
+failed; :func:`run_numpy` never calls it.
 
-Select an engine per call (``list_triangles(..., engine="numpy")``,
-``engine="native"`` to require the compiled kernels) or let the
-``"auto"`` policy pick; see docs/PERFORMANCE.md for the design and
-measured speedups.
+Select an engine per call (``list_triangles(..., engine="numpy")``
+or ``engine="native"``) or let the ``"auto"`` policy pick; each result
+names the engine that ran in ``extra["engine"]``. See
+docs/PERFORMANCE.md for the design and measured speedups.
 """
 
 from repro.engine import native
 from repro.engine.kernels import (
     CHUNK_CANDIDATES,
     NUMPY_METHODS,
+    NativeUnavailable,
     run_method_kernel,
+    run_native,
     run_numpy,
 )
 from repro.engine.native import (
@@ -40,9 +42,11 @@ __all__ = [
     "CHUNK_CANDIDATES",
     "KERNEL_KINDS",
     "NUMPY_METHODS",
+    "NativeUnavailable",
     "list_triangles_array",
     "native",
     "run_method_kernel",
+    "run_native",
     "run_numpy",
     "stream_triangles",
 ]

@@ -4,9 +4,8 @@ One measurement routine shared by ``benchmarks/bench_lister_throughput``
 and ``repro bench --native-compare``: for each method it times the
 count-only workload on all three engines of
 :func:`repro.listing.list_triangles` -- the instrumented Python
-reference, the NumPy kernels with the compiled path explicitly
-disabled (``use_native=False``, so the column is honest about what
-pure NumPy costs), and the compiled kernels -- plus one full native
+reference, the pure NumPy kernels (:func:`run_numpy`), and the
+compiled kernels (:func:`run_native`) -- plus one full native
 *listing* run (the operation the paper's cost model prices). Results
 come back as a rendered table and a JSON-ready dict whose
 ``"methods"`` mapping feeds :func:`repro.obs.report.record_cells`:
@@ -24,8 +23,9 @@ import time
 from functools import lru_cache
 
 from repro.engine import native
-from repro.engine.kernels import run_numpy
+from repro.engine.kernels import run_native, run_numpy
 from repro.listing.api import list_triangles
+from repro.obs.env import env_flag
 
 #: Default comparison set: the paper's four fundamental methods plus
 #: one lookup iterator per probe direction.
@@ -44,8 +44,6 @@ DEFAULT_CALIBRATION_MAX_AGE_S = 30 * 24 * 3600.0
 
 #: Rolling-window cap per engine; oldest entries are trimmed.
 MAX_STORE_ENTRIES = 32
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 
 def _timed(fn, repeats: int = 1):
@@ -257,8 +255,7 @@ def calibrated_speed_ratio(engine: str = "numpy", n: int = 4000,
         return stored
     _metrics.inc("planner.calibrations")
     ratio = measure_speed_ratio(n=n, seed=seed, engine=engine)
-    if os.environ.get("REPRO_CALIBRATION_WRITE",
-                      "").strip().lower() in _TRUTHY:
+    if env_flag("REPRO_CALIBRATION_WRITE"):
         store_calibration(ratio, engine=engine, n=n, seed=seed)
     return ratio
 
@@ -277,8 +274,7 @@ def native_compare(oriented, methods=DEFAULT_METHODS,
     have_native = native.available()
     # warm the pure-NumPy caches (Bloom table + uint32 mirrors) so the
     # first timed method doesn't pay the one-off build
-    run_numpy(oriented, methods[0] if methods else "T1",
-              collect=False, use_native=False)
+    run_numpy(oriented, methods[0] if methods else "T1", collect=False)
     data = {
         "n": int(oriented.n),
         "m": int(oriented.m),
@@ -308,14 +304,12 @@ def native_compare(oriented, methods=DEFAULT_METHODS,
         py, t_py = _timed(lambda: list_triangles(
             oriented, method, collect=False, engine="python"))
         pure, t_np = _timed(lambda: run_numpy(
-            oriented, method, collect=False, use_native=False),
-            repeats)
+            oriented, method, collect=False), repeats)
         assert py.count == pure.count, method
         t_nat = None
         if have_native:
-            nat, t_nat = _timed(lambda: run_numpy(
-                oriented, method, collect=False, use_native=True),
-                repeats)
+            nat, t_nat = _timed(lambda: run_native(
+                oriented, method, collect=False), repeats)
             assert nat.count == py.count, method
         rows.append((method, py.ops, py.count, t_py, t_np, t_nat))
 

@@ -30,14 +30,17 @@ transcription issues), also in closed form -- see ``_PROBE_COMPONENT``.
 Because every method lists the same triangle set, count-only calls
 (``collect=False``) are free to run the cheapest of the three base
 shapes (T1/T2/T3 candidate streams, picked by ``component_ops``
-argmin) while still reporting the *requested* method's ``ops``. When a
-C toolchain is available both paths drop into the compiled kernels of
-:mod:`repro.engine.native`: counts run the branchless count kernel and
-collecting runs emit the triangle array directly from C (identical
-canonical ``x < y < z`` triples -- the orientation always points
-edges at smaller labels -- so only the enumeration *order* differs,
-exactly as it already does between the python and numpy engines). Set
-``REPRO_NATIVE=0`` to stay pure NumPy.
+argmin) while still reporting the *requested* method's ``ops``.
+
+:func:`run_numpy` is pure NumPy and never calls C. Its sibling
+:func:`run_native` runs the compiled kernels of
+:mod:`repro.engine.native` instead (branchless count kernel, or the
+triangle array emitted directly from C: identical canonical
+``x < y < z`` triples -- the orientation always points edges at
+smaller labels -- so only the enumeration *order* differs, exactly as
+it already does between the python and numpy engines). Both build
+their result through one closed-form helper, and each names itself in
+``extra["engine"]``.
 
 Memory stays bounded: candidate pairs are materialized in chunks of
 ``CHUNK_CANDIDATES`` regardless of how skewed the degree sequence is.
@@ -406,51 +409,40 @@ def _publish_native_stats() -> None:
         _metrics.inc(f"engine.native.ops.t{t}", t_ops)
 
 
-def _count_fast(oriented, stats=None) -> tuple[int, bool]:
-    """Exact triangle count by the cheapest route available.
+def _lookup(method: str) -> tuple[str, _Kernel]:
+    """Upper-cased ``method`` and its kernel shape (``ValueError`` if
+    it is not one of the 18)."""
+    method = method.upper()
+    kernel = _KERNELS.get(method)
+    if kernel is None:
+        raise ValueError(f"unknown method {method!r}; choose from "
+                         f"{NUMPY_METHODS}")
+    return method, kernel
 
-    Tries the compiled forward kernel first (identical count, ~ns per
-    comparison), then falls back to the cheapest of the three
-    vectorized base shapes -- every method lists the same triangle
-    set, so count-only work is free to pick its stream. Returns
-    ``(count, used_native)``.
+
+def _closed_form_result(oriented, method, count, triangles,
+                        extra) -> ListingResult:
+    """``method``'s result with its closed-form cost counters.
+
+    ``ops`` and ``hash_inserts`` equal the instrumented Python loops'
+    tallies (eqs. (7)-(9)); ``comparisons`` is closed-form too (see
+    module docstring). Shared by the NumPy and native engines, so
+    their accounting cannot drift apart.
     """
-    native_count = _native.count_triangles(oriented)
-    if native_count is not None:
-        return native_count, True
     comps = _component_ops(oriented)
-    shape = min(("T1", "T2", "T3"), key=comps.get)
-    count, _ = _run_kernel(oriented, _KERNELS[shape], collect=False,
-                           stats=stats, label=f"count:{shape}")
-    return count, False
-
-
-def _collect_fast(oriented, kernel, method, stats=None,
-                  use_native=None) -> tuple[int, list, bool]:
-    """Full triangle list by the fastest route that matches semantics.
-
-    ``use_native=None`` tries the compiled emitting kernel and falls
-    back to the vectorized chunk loop; ``False`` skips native
-    entirely (the caller wants the NumPy enumeration order);
-    ``True`` requires it (raises if the library is unavailable).
-    Returns ``(count, triangles, used_native)``.
-    """
-    if use_native is not False:
-        arr = _native.list_triangles_array(oriented)
-        if arr is not None:
-            return arr.shape[0], list(map(tuple, arr.tolist())), True
-        if use_native:
-            raise RuntimeError(
-                "native engine requested but unavailable: "
-                f"{_native.status()}")
-    count, batches = _run_kernel(oriented, kernel, collect=True,
-                                 stats=stats, label=f"list:{method}")
-    if batches:
-        stacked = np.concatenate(batches, axis=0)
-        triangles = list(map(tuple, stacked.tolist()))
-    else:
-        triangles = []
-    return count, triangles, False
+    spec = get_method(method)
+    ops = sum(comps[c] for c in spec.components)
+    hashed = spec.family in ("vertex", "lei")
+    return ListingResult(
+        method=method,
+        count=count,
+        triangles=triangles,
+        ops=ops,
+        comparisons=ops if hashed else comps[_PROBE_COMPONENT[method]],
+        hash_inserts=oriented.m if hashed else 0,
+        n=oriented.n,
+        extra=extra,
+    )
 
 
 def run_method_kernel(oriented, method: str) -> int:
@@ -464,11 +456,7 @@ def run_method_kernel(oriented, method: str) -> int:
     observability surface (``repro mem``) uses it to make the
     footprint-conformance comparison honest. Returns the count.
     """
-    method = method.upper()
-    kernel = _KERNELS.get(method)
-    if kernel is None:
-        raise ValueError(f"unknown method {method!r}; choose from "
-                         f"{NUMPY_METHODS}")
+    method, kernel = _lookup(method)
     stats = _new_stats() if _metrics.is_enabled() else None
     count, _ = _run_kernel(oriented, kernel, collect=False,
                            stats=stats, label=f"mem:{method}")
@@ -477,73 +465,72 @@ def run_method_kernel(oriented, method: str) -> int:
     return count
 
 
-def run_numpy(oriented, method: str = "E1", collect: bool = True,
-              use_native: bool | None = None) -> ListingResult:
-    """Run one of the 18 methods through the vectorized engine.
+def run_numpy(oriented, method: str = "E1",
+              collect: bool = True) -> ListingResult:
+    """Run one of the 18 methods through the vectorized NumPy kernels.
 
     Returns a :class:`ListingResult` equivalent to the pure-Python
     engine's: identical triangles (as a set -- enumeration order
     differs from loop order), identical ``count``, ``ops`` and
     ``hash_inserts``; ``comparisons`` is closed-form (see module
-    docstring). ``use_native`` gates the compiled kernels: ``None``
-    (default) uses them when available, ``False`` stays pure NumPy,
-    ``True`` requires them (``RuntimeError`` otherwise).
-    ``extra["engine"]`` is ``"numpy"``; ``extra["native"]`` reports
-    whether a compiled kernel produced the result, and
-    ``extra["native_kernel"]`` names the intersection variant that ran.
+    docstring). Count-only runs stream the cheapest of the three base
+    shapes. Never calls the compiled kernels; ``extra["engine"]`` is
+    ``"numpy"``.
     """
-    method = method.upper()
-    kernel = _KERNELS.get(method)
-    if kernel is None:
-        raise ValueError(f"unknown method {method!r}; choose from "
-                         f"{NUMPY_METHODS}")
-    comps = _component_ops(oriented)
-    spec = get_method(method)
-    ops = sum(comps[c] for c in spec.components)
-    hash_inserts = oriented.m if spec.family in ("vertex", "lei") else 0
-    comparisons = ops if spec.family in ("vertex", "lei") \
-        else comps[_PROBE_COMPONENT[method]]
-
+    method, kernel = _lookup(method)
     stats = _new_stats() if _metrics.is_enabled() else None
     if collect:
-        count, triangles, used_native = _collect_fast(
-            oriented, kernel, method, stats=stats, use_native=use_native)
+        count, batches = _run_kernel(oriented, kernel, collect=True,
+                                     stats=stats, label=f"list:{method}")
+        triangles = (list(map(tuple, np.concatenate(batches).tolist()))
+                     if batches else [])
     else:
+        comps = _component_ops(oriented)
+        shape = min(("T1", "T2", "T3"), key=comps.get)
+        count, _ = _run_kernel(oriented, _KERNELS[shape], collect=False,
+                               stats=stats, label=f"count:{shape}")
         triangles = None
-        if use_native:
-            count = _native.count_triangles(oriented)
-            if count is None:
-                raise RuntimeError(
-                    "native engine requested but unavailable: "
-                    f"{_native.status()}")
-            used_native = True
-        elif use_native is False:
-            comps_shape = min(("T1", "T2", "T3"), key=comps.get)
-            count, _ = _run_kernel(
-                oriented, _KERNELS[comps_shape], collect=False,
-                stats=stats, label=f"count:{comps_shape}")
-            used_native = False
-        else:
-            count, used_native = _count_fast(oriented, stats=stats)
     if stats is not None:
         _publish_stats(stats)
-    if _metrics.is_enabled() and used_native:
-        _publish_native_stats()
-    _metrics.set_gauge("engine.native", 1.0 if used_native else 0.0)
+    _metrics.set_gauge("engine.native", 0.0)
+    return _closed_form_result(oriented, method, count, triangles,
+                               {"engine": "numpy"})
 
-    extra = {"engine": "numpy", "native": used_native}
-    if used_native:
-        last = _native.last_stats()
-        if last is not None:
-            extra["native_kernel"] = last["kind"]
-            extra["native_threads"] = last["threads"]
-    return ListingResult(
-        method=method,
-        count=count,
-        triangles=triangles,
-        ops=ops,
-        comparisons=comparisons,
-        hash_inserts=hash_inserts,
-        n=oriented.n,
-        extra=extra,
-    )
+
+class NativeUnavailable(RuntimeError):
+    """The compiled kernels are gated off or declined this graph."""
+
+
+def run_native(oriented, method: str = "E1",
+               collect: bool = True) -> ListingResult:
+    """Run one of the 18 methods through the compiled kernels.
+
+    Every method lists the same canonical ``x < y < z`` triangle set
+    (the orientation points edges at smaller labels), so the forward
+    kernels of :mod:`repro.engine.native` serve all 18; only the
+    enumeration *order* differs from the other engines, and the cost
+    counters are the method's closed form. Raises
+    :class:`NativeUnavailable` when the kernels are unavailable or a
+    kernel call returns ``None``. ``extra["engine"]`` is ``"native"``;
+    ``extra["native_kernel"]`` and ``extra["native_threads"]`` name
+    the intersection variant and thread count that ran.
+    """
+    method, _ = _lookup(method)
+    if collect:
+        arr = _native.list_triangles_array(oriented)
+        count = None if arr is None else arr.shape[0]
+    else:
+        count = _native.count_triangles(oriented)
+    if count is None:
+        raise NativeUnavailable(
+            f"native engine unavailable for this run: {_native.status()}")
+    triangles = list(map(tuple, arr.tolist())) if collect else None
+    if _metrics.is_enabled():
+        _publish_native_stats()
+    _metrics.set_gauge("engine.native", 1.0)
+    extra = {"engine": "native"}
+    last = _native.last_stats()
+    if last is not None:
+        extra["native_kernel"] = last["kind"]
+        extra["native_threads"] = last["threads"]
+    return _closed_form_result(oriented, method, count, triangles, extra)

@@ -7,9 +7,11 @@ exact work at ~1 ns per elementary operation, because the working set
 per pivot is a handful of cache lines. Everything compiles *at first
 use* with whatever C compiler the host already has (``cc``/``gcc``;
 nothing is installed) and loads via :mod:`ctypes`. Everything is
-gated: no compiler, a failed compile, or ``REPRO_NATIVE=0`` all
-degrade to the NumPy path (a failed compile is cached for the process
-and reported once as a structured warning; the rest stay DEBUG).
+gated: no compiler, a failed compile, or ``REPRO_NATIVE=0`` all make
+every entry point return ``None`` (a failed compile is cached for the
+process and reported once as a structured warning; the rest stay
+DEBUG). ``list_triangles(engine="auto")`` then runs NumPy or Python
+and ``engine="native"`` raises.
 
 Version 2 extends the original count-only merge loop into a small
 kernel library:
@@ -28,7 +30,7 @@ kernel library:
   resumable ``(z, iy)`` cursor so callers bound memory without
   per-triangle Python boxing.
 * **A pthreads block driver**: the vertex range is pre-split into
-  ``REPRO_NATIVE_BLOCKS`` edge-balanced blocks (a pure function of the
+  ``DEFAULT_BLOCKS`` edge-balanced blocks (a pure function of the
   graph, *not* of the thread count) and threads claim blocks statically
   round-robin. Per-block triangle/op counters are merged back in block
   order, so counts, ops, and emitted buffers are bit-identical at any
@@ -56,6 +58,7 @@ import weakref
 import numpy as np
 
 from repro.obs import memory as _memory
+from repro.obs.env import env_flag
 
 __all__ = [
     "KERNEL_KINDS",
@@ -406,7 +409,7 @@ def _build_library():
     compiler in this process, and emits exactly one structured WARNING
     through :mod:`repro.obs.logging`.
     """
-    if os.environ.get("REPRO_NATIVE", "1").lower() in ("0", "false", ""):
+    if not env_flag("REPRO_NATIVE", default=True):
         _status.update(state="gated", reason="REPRO_NATIVE disabled")
         return None
     compiler = shutil.which("cc") or shutil.which("gcc")
@@ -501,7 +504,7 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 def resolve_kind(oriented, kind: str | None = None) -> str:
-    """Intersection variant: explicit, ``REPRO_NATIVE_KERNEL``, or auto.
+    """Intersection variant: ``kind`` if given, else auto.
 
     The auto heuristic follows the degree-regime argument (Latapy
     2008): the bitmap probe does one predicted byte load per candidate
@@ -511,10 +514,7 @@ def resolve_kind(oriented, kind: str | None = None) -> str:
     merge takes over for huge vertex sets where per-thread mark arrays
     would thrash (or be refused by the allocator).
     """
-    if kind is None:
-        kind = os.environ.get("REPRO_NATIVE_KERNEL", "auto") \
-            .strip().lower() or "auto"
-    if kind == "auto":
+    if kind is None or kind == "auto":
         kind = "bitmap" if oriented.n <= (1 << 25) else "merge"
     if kind not in _KIND_CODES:
         raise ValueError(f"unknown native kernel {kind!r}; choose from "
@@ -564,20 +564,10 @@ class _GraphArrays:
 _ARRAYS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _resolve_blocks() -> int:
-    env = os.environ.get("REPRO_NATIVE_BLOCKS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_BLOCKS
-
-
 def _graph_arrays(oriented) -> _GraphArrays:
     arrays = _ARRAYS.get(oriented)
     if arrays is None:
-        arrays = _GraphArrays(oriented, _resolve_blocks())
+        arrays = _GraphArrays(oriented, DEFAULT_BLOCKS)
         _ARRAYS[oriented] = arrays
     return arrays
 

@@ -1,30 +1,32 @@
 """High-level entry points for the 18 listing methods.
 
-Three engines back every method:
+Three engines back every method, and each result names the one that
+ran in ``extra["engine"]``:
 
 * ``"python"`` -- the instrumented pure-Python loops (the ground-truth
   reference; per-candidate ``ops``/``comparisons`` counting).
 * ``"numpy"`` -- the vectorized kernels of :mod:`repro.engine`
   (identical triangles/counts/``ops``, orders of magnitude faster; see
-  docs/PERFORMANCE.md). When the compiled kernels of
-  :mod:`repro.engine.native` are available it transparently drops into
-  them for both counting and listing.
-* ``"native"`` -- the compiled kernels, *required*: raises
-  ``RuntimeError`` instead of falling back when no C toolchain is
-  available or ``REPRO_NATIVE=0`` is set.
+  docs/PERFORMANCE.md). Never calls C.
+* ``"native"`` -- the compiled kernels of :mod:`repro.engine.native`;
+  raises ``RuntimeError`` when no C toolchain is available,
+  ``REPRO_NATIVE`` is off, or a kernel call declines the graph.
 
-The default ``engine="auto"`` routes count-only runs
-(``collect=False``) through the vectorized engine, and collecting runs
-through it too whenever the native listing kernels are available
-(identical canonical triangle set, C-speed emission); without them it
-keeps the reference loops, whose enumeration order is part of the
-documented semantics.
+The default ``engine="auto"`` runs native whenever the compiled
+kernels are available (identical canonical triangle set, C-speed
+emission); without them it runs numpy for count-only runs
+(``collect=False``) and keeps the reference loops for collecting runs,
+whose enumeration order is part of the documented semantics. If a
+native call declines the graph at run time, auto falls back to numpy
+and ``extra["engine"]`` says so.
 """
 
 from __future__ import annotations
 
 import time
 
+from repro.engine import native as _native
+from repro.engine.kernels import NativeUnavailable, run_native, run_numpy
 from repro.listing.base import ListingResult, publish_result_metrics
 from repro.listing.vertex_iterator import run_vertex_iterator, VERTEX_ITERATORS
 from repro.listing.edge_iterator import (
@@ -48,13 +50,21 @@ ENGINES = ("auto", "python", "numpy", "native")
 
 def _run_python(oriented, method: str, collect: bool) -> ListingResult:
     if method in VERTEX_ITERATORS:
-        return run_vertex_iterator(oriented, method, collect)
-    if method in SCANNING_EDGE_ITERATORS:
-        return run_edge_iterator(oriented, method, collect)
-    if method in LOOKUP_EDGE_ITERATORS:
-        return run_lookup_iterator(oriented, method, collect)
-    raise ValueError(
-        f"unknown method {method!r}; choose from {ALL_METHODS}")
+        result = run_vertex_iterator(oriented, method, collect)
+    elif method in SCANNING_EDGE_ITERATORS:
+        result = run_edge_iterator(oriented, method, collect)
+    elif method in LOOKUP_EDGE_ITERATORS:
+        result = run_lookup_iterator(oriented, method, collect)
+    else:
+        raise ValueError(
+            f"unknown method {method!r}; choose from {ALL_METHODS}")
+    result.extra["engine"] = "python"
+    return result
+
+
+#: What each resolved ``engine`` value runs.
+_RUNNERS = {"python": _run_python, "numpy": run_numpy,
+            "native": run_native}
 
 
 def list_triangles(oriented, method: str = "E1", collect: bool = True,
@@ -73,15 +83,15 @@ def list_triangles(oriented, method: str = "E1", collect: bool = True,
     returned counters.
 
     ``engine`` selects the implementation: ``"python"`` (instrumented
-    reference), ``"numpy"`` (vectorized, native-accelerated when
-    possible), ``"native"`` (compiled kernels required -- raises when
-    unavailable), or ``"auto"`` (numpy for count-only runs; when
-    collecting, numpy if the native listing kernels are available and
-    python otherwise). All report the same
-    ``count``/``ops``/``hash_inserts`` and -- when collecting -- the
-    same triangle set; the numpy/native enumeration *order* and the
-    E-family ``comparisons`` follow the closed-form semantics
-    described in :mod:`repro.engine.kernels`.
+    reference), ``"numpy"`` (vectorized, never calls C), ``"native"``
+    (compiled kernels -- raises when unavailable), or ``"auto"``
+    (native when available; otherwise numpy for count-only runs and
+    python when collecting; numpy again if a native call declines the
+    graph). ``result.extra["engine"]`` names the engine that ran. All
+    report the same ``count``/``ops``/``hash_inserts`` and -- when
+    collecting -- the same triangle set; the numpy/native enumeration
+    *order* and the E-family ``comparisons`` follow the closed-form
+    semantics described in :mod:`repro.engine.kernels`.
 
     Example::
 
@@ -106,30 +116,22 @@ def list_triangles(oriented, method: str = "E1", collect: bool = True,
     # on; the disabled path is the one is_enabled() check.
     from repro.obs import audit as _audit
     audit_on = auto_plan is not None and _audit.is_enabled()
-    use_native = None
-    if engine == "auto":
-        if collect:
-            from repro.engine import native as _native
-            engine = "numpy" if _native.available() else "python"
-        else:
-            engine = "numpy"
-    elif engine == "native":
-        engine = "numpy"
-        use_native = True
+    auto = engine == "auto"
+    if auto:
+        engine = ("native" if _native.available()
+                  else "python" if collect else "numpy")
     wall_start = time.perf_counter() if audit_on else 0.0
     with span("list", method=method, n=oriented.n, engine=engine) as sp:
         if auto_plan is not None:
             sp.annotate(auto=True,
                         plan_confidence=round(auto_plan.confidence, 4))
-        if engine == "numpy":
-            from repro.engine import run_numpy
-            if method not in ALL_METHODS:
-                raise ValueError(f"unknown method {method!r}; choose "
-                                 f"from {ALL_METHODS}")
-            result = run_numpy(oriented, method, collect,
-                               use_native=use_native)
-        else:
-            result = _run_python(oriented, method, collect)
+        try:
+            result = _RUNNERS[engine](oriented, method, collect)
+        except NativeUnavailable:
+            if not auto:
+                raise
+            result = run_numpy(oriented, method, collect)
+            sp.annotate(engine="numpy")
         sp.annotate(ops=result.ops, triangles=result.count)
     if auto_plan is not None:
         result.extra["auto_method"] = method
@@ -142,10 +144,9 @@ def list_triangles(oriented, method: str = "E1", collect: bool = True,
                 exact_plan=auto_plan, m=oriented.m,
                 max_degree=int(degrees.max()) if oriented.n else 0)
     publish_result_metrics(result)
-    # publish the resolved engine as a labelled counter (and not just a
+    # publish the engine that ran as a labelled counter (and not just a
     # span attribute) so run-history reports can segment cost by engine
-    label = "native" if result.extra.get("native") else engine
-    _metrics.inc(f"lister.engine.{label}")
+    _metrics.inc(f"lister.engine.{result.extra['engine']}")
     return result
 
 

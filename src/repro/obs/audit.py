@@ -344,8 +344,7 @@ def finish_record(record: dict, *, result=None, wall_s=None,
             "triangles": int(result.count),
             "per_node_cost": per_node,
             "wall_s": float(wall_s) if wall_s is not None else None,
-            "engine": ("native" if result.extra.get("native")
-                       else result.extra.get("engine")),
+            "engine": result.extra.get("engine"),
         }
         if per_node > 0 and picked["predicted_cost"] >= 0:
             ratios["ops"] = picked["predicted_cost"] / per_node

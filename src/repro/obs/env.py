@@ -1,9 +1,11 @@
 """Parsing of the ``REPRO_*`` observability knobs, in one place.
 
-Every on/off switch of :mod:`repro.obs` reads through :func:`env_flag`
-and every top-K switch through :func:`env_top_k`, so the accepted
-spellings are the same for all of them. This module imports nothing
-from the package: any obs layer may use it without an import cycle.
+Every on/off switch of the package (the :mod:`repro.obs` knobs,
+``REPRO_NATIVE``, ``REPRO_CALIBRATION_WRITE``) reads through
+:func:`env_flag` and every top-K switch through :func:`env_top_k`, so
+the accepted spellings are the same for all of them. This module
+imports nothing from the package: any layer may use it without an
+import cycle.
 """
 
 from __future__ import annotations

@@ -85,7 +85,9 @@ def run_pipeline(graph, method: str = "E1", order: str | None = None,
     the cost-model planner (:func:`repro.planner.plan_for_graph`) for
     the cheapest (method, ordering) pair on this graph and runs it
     (``order``, when also given, constrains the planner's candidates
-    to that ordering). The report carries the measured per-node cost
+    to that ordering; the pick and the planner's confidence land in
+    ``result.extra["auto_method"]``/``["auto_confidence"]``). The
+    report carries the measured per-node cost
     and the section 2.4 hardware decision for the oriented graph.
 
     Example::
@@ -94,16 +96,15 @@ def run_pipeline(graph, method: str = "E1", order: str | None = None,
         print(report.count, report.order, report.per_node_cost)
     """
     method = method.upper()
-    audit_plan = None
+    auto_plan = None
     if method == "AUTO":
         from repro.planner import GRAPH_ORDERINGS, plan_for_graph
         orderings = (order,) if order else GRAPH_ORDERINGS
-        plan = plan_for_graph(graph, orderings=orderings)
-        method = plan.best.method
-        order = plan.best.ordering
-        audit_plan = plan
+        auto_plan = plan_for_graph(graph, orderings=orderings)
+        method = auto_plan.best.method
+        order = auto_plan.best.ordering
     from repro.obs import audit as _audit
-    audit_on = audit_plan is not None and _audit.is_enabled()
+    audit_on = auto_plan is not None and _audit.is_enabled()
     if order is None:
         order = optimal_order_for(method)
     if order == "opt":
@@ -122,11 +123,14 @@ def run_pipeline(graph, method: str = "E1", order: str | None = None,
         wall_start = time.perf_counter()
     oriented = orient(graph, permutation, rng=rng)
     result = list_triangles(oriented, method, collect=collect)
+    if auto_plan is not None:
+        result.extra["auto_method"] = method
+        result.extra["auto_confidence"] = auto_plan.confidence
     if audit_on:
         wall = time.perf_counter() - wall_start
         _audit.record_auto_route(
-            audit_plan, "run_pipeline", result=result, wall_s=wall,
-            exact_plan=audit_plan,
+            auto_plan, "run_pipeline", result=result, wall_s=wall,
+            exact_plan=auto_plan,
             max_degree=int(graph.degrees.max()) if graph.n else 0)
     return PipelineReport(
         result=result,

@@ -8,10 +8,9 @@ shapes (empty graph, star, clique). ``comparisons`` is intentionally
 early-exit comparisons, the engine reports the closed-form probe
 component (see :mod:`repro.engine.kernels`).
 
-The equivalence classes here pass ``use_native=False`` so the *pure*
-NumPy kernels stay pinned against the ground truth even on hosts with
-a C toolchain (where the default would route through the compiled
-kernels -- those have their own suite in ``test_native_engine.py``).
+``run_numpy`` never calls C, so these classes pin the *pure* NumPy
+kernels against the ground truth on every host (the compiled kernels
+have their own suite in ``test_native_engine.py``).
 """
 
 import numpy as np
@@ -64,16 +63,14 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_identical_results(self, oriented, method):
         py = list_triangles(oriented, method, engine="python")
-        np_list = run_numpy(oriented, method, collect=True,
-                            use_native=False)
-        np_count = run_numpy(oriented, method, collect=False,
-                             use_native=False)
+        np_list = run_numpy(oriented, method, collect=True)
+        np_count = run_numpy(oriented, method, collect=False)
         assert py.count == np_list.count == np_count.count
         assert py.ops == np_list.ops == np_count.ops
         assert py.hash_inserts == np_list.hash_inserts
         assert set(py.triangles) == set(np_list.triangles)
         assert len(np_list.triangles) == np_list.count
-        assert np_list.extra["native"] is False
+        assert np_list.extra["engine"] == "numpy"
 
     @pytest.mark.parametrize("method", ("T1", "E1", "E4", "L5"))
     def test_triangles_well_ordered(self, oriented, method):
@@ -82,8 +79,8 @@ class TestEngineEquivalence:
             assert x < y < z
 
     def test_numpy_engine_deterministic(self, oriented):
-        a = run_numpy(oriented, "T2", collect=True, use_native=False)
-        b = run_numpy(oriented, "T2", collect=True, use_native=False)
+        a = run_numpy(oriented, "T2", collect=True)
+        b = run_numpy(oriented, "T2", collect=True)
         assert a.triangles == b.triangles
         assert a.count == b.count
 
@@ -124,30 +121,30 @@ class TestDispatch:
                             engine="python")
         np_res = list_triangles(oriented, "T1", collect=False,
                                 engine="numpy")
-        assert py.extra.get("engine") is None
+        assert py.extra["engine"] == "python"
         assert np_res.extra["engine"] == "numpy"
         assert py.count == np_res.count
 
-    def test_auto_routes_count_only_to_numpy(self, oriented):
+    def test_auto_routes_count_only_to_numpy(self, oriented,
+                                             monkeypatch):
+        from repro.engine import native
+        monkeypatch.setattr(native, "_lib", None)
         result = list_triangles(oriented, "E1", collect=False)
-        assert result.extra.get("engine") == "numpy"
+        assert result.extra["engine"] == "numpy"
 
     def test_auto_collect_follows_native_availability(self, oriented):
         """auto + collect: compiled kernels when present, else python."""
         from repro.engine import native
         result = list_triangles(oriented, "E1", collect=True)
-        if native.available():
-            assert result.extra.get("engine") == "numpy"
-            assert result.extra.get("native") is True
-        else:
-            assert result.extra.get("engine") is None
+        assert result.extra["engine"] == (
+            "native" if native.available() else "python")
 
     def test_auto_collect_falls_back_to_python(self, oriented,
                                                monkeypatch):
         from repro.engine import native
         monkeypatch.setattr(native, "_lib", None)
         result = list_triangles(oriented, "E1", collect=True)
-        assert result.extra.get("engine") is None
+        assert result.extra["engine"] == "python"
         py = list_triangles(oriented, "E1", collect=True,
                             engine="python")
         assert result.triangles == py.triangles
@@ -166,10 +163,10 @@ class TestDispatch:
 
     def test_native_fallback_matches(self, oriented, monkeypatch):
         """The pure-NumPy count path (native gated off) still agrees."""
-        from repro.engine import kernels, native
+        from repro.engine import native
         monkeypatch.setattr(native, "_lib", None)
         assert not native.available()
         result = run_numpy(oriented, "T1", collect=False)
-        assert not result.extra["native"]
+        assert result.extra["engine"] == "numpy"
         assert result.count == count_triangles(oriented, "T1",
                                                engine="python")

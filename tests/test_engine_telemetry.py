@@ -4,12 +4,12 @@ The vectorized engine (:mod:`repro.engine.kernels`) publishes
 ``engine.*`` counters -- chunks, candidate pairs, Bloom probes/hits,
 confirming binary searches -- once per run when the obs layer is
 enabled, plus an ``engine.native`` gauge reporting whether the
-compiled count kernel ran. These tests pin the contract: the counters
+compiled kernels ran. These tests pin the contract: the counters
 are deterministic for a fixed seed, internally consistent with the
 listing result, entirely absent (zero cost) when obs is disabled, and
-the ``lister.engine.<label>`` counter published by
-:func:`repro.listing.list_triangles` reflects the engine that actually
-ran.
+``extra["engine"]``, the ``lister.engine.<label>`` counter published
+by :func:`repro.listing.list_triangles` and the audit record's
+``actual.engine`` all name the engine that actually ran.
 """
 
 import numpy as np
@@ -18,9 +18,10 @@ import pytest
 from repro import DescendingDegree, DiscretePareto, obs, orient
 from repro.distributions import root_truncation
 from repro.distributions.sampling import sample_degree_sequence
-from repro.engine import native, run_numpy
+from repro.engine import native, run_native, run_numpy
 from repro.graphs.generators import generate_graph
 from repro.listing import list_triangles
+from repro.obs import audit
 
 
 @pytest.fixture(autouse=True)
@@ -50,8 +51,7 @@ def engine_counters():
 class TestEngineCounters:
     def test_consistent_with_result(self, oriented):
         obs.enable()
-        result = run_numpy(oriented, "E1", collect=True,
-                           use_native=False)
+        result = run_numpy(oriented, "E1", collect=True)
         got = engine_counters()
         assert got["engine.runs"] == 1
         assert got["engine.chunks"] >= 1
@@ -93,7 +93,7 @@ class TestNativeGauge:
         monkeypatch.setattr(native, "_lib", None)
         obs.enable()
         result = run_numpy(oriented, "T1", collect=False)
-        assert result.extra["native"] is False
+        assert result.extra["engine"] == "numpy"
         assert obs.metrics.snapshot()["gauges"]["engine.native"] == 0.0
         # the fallback count path feeds the kernel counters instead
         assert engine_counters()["engine.chunks"] >= 1
@@ -102,23 +102,22 @@ class TestNativeGauge:
         if not native.available():
             pytest.skip("no compiled kernel in this environment")
         obs.enable()
-        result = run_numpy(oriented, "T1", collect=False)
-        assert result.extra["native"] is True
+        result = run_native(oriented, "T1", collect=False)
+        assert result.extra["engine"] == "native"
         assert obs.metrics.snapshot()["gauges"]["engine.native"] == 1.0
 
     def test_collect_opt_out_is_pure_numpy(self, oriented):
         obs.enable()
-        result = run_numpy(oriented, "E1", collect=True,
-                           use_native=False)
-        assert result.extra["native"] is False
+        result = run_numpy(oriented, "E1", collect=True)
+        assert result.extra["engine"] == "numpy"
         assert obs.metrics.snapshot()["gauges"]["engine.native"] == 0.0
 
     def test_native_collect_reports_kernel(self, oriented):
         if not native.available():
             pytest.skip("no compiled kernel in this environment")
         obs.enable()
-        result = run_numpy(oriented, "E1", collect=True)
-        assert result.extra["native"] is True
+        result = run_native(oriented, "E1", collect=True)
+        assert result.extra["engine"] == "native"
         assert result.extra["native_kernel"] in native.KERNEL_KINDS
         snap = obs.metrics.snapshot()
         assert snap["gauges"]["engine.native"] == 1.0
@@ -130,7 +129,7 @@ class TestNativeOpCounters:
         if not native.available():
             pytest.skip("no compiled kernel in this environment")
         obs.enable()
-        run_numpy(oriented, "T1", collect=False)
+        run_native(oriented, "T1", collect=False)
         counters = engine_counters()
         total = counters["engine.native.ops"]
         assert total > 0
@@ -152,15 +151,6 @@ class TestListerEngineLabel:
         assert counters["lister.engine.python"] == 1
         assert counters["lister.engine.numpy"] == 1
 
-    def test_native_label(self, oriented):
-        if not native.available():
-            pytest.skip("no compiled kernel in this environment")
-        obs.enable()
-        list_triangles(oriented, "T1", collect=False, engine="numpy")
-        counters = obs.metrics.snapshot()["counters"]
-        assert counters["lister.engine.native"] == 1
-        assert "lister.engine.numpy" not in counters
-
     def test_native_engine_value_labels_native(self, oriented):
         if not native.available():
             pytest.skip("no compiled kernel in this environment")
@@ -168,3 +158,76 @@ class TestListerEngineLabel:
         list_triangles(oriented, "T1", collect=True, engine="native")
         counters = obs.metrics.snapshot()["counters"]
         assert counters["lister.engine.native"] == 1
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the numpy engine called into the C kernels")
+
+
+#: Engine that runs per (engine, native state, collect); ``None`` means
+#: the call raises. ``declines`` = kernels available but the call
+#: returns ``None`` (rc != 0 or n >= 2^32).
+_ROUTES = {
+    ("python", "available"): "python",
+    ("python", "gated"): "python",
+    ("python", "declines"): "python",
+    ("numpy", "available"): "numpy",
+    ("numpy", "gated"): "numpy",
+    ("numpy", "declines"): "numpy",
+    ("native", "available"): "native",
+    ("native", "gated"): None,
+    ("native", "declines"): None,
+    ("auto", "available"): "native",
+    ("auto", "gated"): {True: "python", False: "numpy"},
+    ("auto", "declines"): "numpy",
+}
+
+
+class TestEngineRouting:
+    """``extra["engine"]``, ``lister.engine.*`` and the audit's
+    ``actual.engine`` agree on what ran, for every routing cell."""
+
+    @pytest.mark.parametrize("collect", (True, False))
+    @pytest.mark.parametrize("state", ("available", "gated", "declines"))
+    @pytest.mark.parametrize("engine", ("python", "numpy", "native",
+                                        "auto"))
+    def test_route(self, oriented, monkeypatch, tmp_path, engine, state,
+                   collect):
+        if state == "available" and not native.available():
+            pytest.skip("no compiled kernel in this environment")
+        if state == "gated":
+            monkeypatch.setattr(native, "_lib", None)
+        elif state == "declines":
+            monkeypatch.setattr(native, "available", lambda: True)
+            monkeypatch.setattr(native, "count_triangles",
+                                lambda *a, **k: None)
+            monkeypatch.setattr(native, "list_triangles_array",
+                                lambda *a, **k: None)
+        if engine == "numpy":
+            monkeypatch.setattr(native, "count_triangles", _refuse)
+            monkeypatch.setattr(native, "list_triangles_array", _refuse)
+        expected = _ROUTES[engine, state]
+        if isinstance(expected, dict):
+            expected = expected[collect]
+        sink = tmp_path / "audit.jsonl"
+        monkeypatch.setenv(audit.AUDIT_FILE_ENV, str(sink))
+        monkeypatch.setattr(audit, "_enabled", True)
+        obs.enable()
+        if expected is None:
+            with pytest.raises(RuntimeError, match="native engine"):
+                list_triangles(oriented, "auto", collect=collect,
+                               engine=engine)
+            return
+        result = list_triangles(oriented, "auto", collect=collect,
+                                engine=engine)
+        assert result.extra["engine"] == expected
+        counters = obs.metrics.snapshot()["counters"]
+        assert {k for k in counters if k.startswith("lister.engine.")} \
+            == {f"lister.engine.{expected}"}
+        (record,) = audit.load_audit(sink)
+        assert record["actual"]["engine"] == expected
+        ref = list_triangles(oriented, result.extra["auto_method"],
+                             collect=collect, engine="python")
+        assert (result.count, result.ops) == (ref.count, ref.ops)
+        if collect:
+            assert set(result.triangles) == set(ref.triangles)

@@ -10,7 +10,7 @@ The contract of :mod:`repro.engine.native` v2, pinned three ways:
   counts (1, 2, 8) and across the two intersection variants
   (merge/bitmap), and streaming chunks concatenate to exactly the
   two-pass array.
-* **Gating** -- ``REPRO_NATIVE=0``, a missing compiler, and a failed
+* **Gating** -- ``REPRO_NATIVE`` off, a missing compiler, and a failed
   compile each degrade cleanly (cached per process, one structured
   warning for the failure case) while ``engine="native"`` raises
   instead of silently falling back.
@@ -37,7 +37,7 @@ from repro import (
 )
 from repro.distributions import root_truncation
 from repro.distributions.sampling import sample_degree_sequence
-from repro.engine import native, run_numpy
+from repro.engine import native, run_native, run_numpy
 from repro.graphs.graph import Graph
 from repro.listing.api import ALL_METHODS, list_triangles
 
@@ -72,10 +72,9 @@ class TestMethodOrderingEquivalence:
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_matches_numpy_engine(self, oriented, method):
         """Sorted triangles, count, and ops agree for every cell."""
-        ref = run_numpy(oriented, method, collect=True,
-                        use_native=False)
-        nat = run_numpy(oriented, method, collect=True, use_native=True)
-        assert nat.extra["native"] is True
+        ref = run_numpy(oriented, method, collect=True)
+        nat = run_native(oriented, method, collect=True)
+        assert nat.extra["engine"] == "native"
         assert nat.count == ref.count
         assert nat.ops == ref.ops
         assert nat.hash_inserts == ref.hash_inserts
@@ -178,9 +177,8 @@ class TestKnobs:
         assert native.resolve_threads() >= 1
 
     @needs_native
-    def test_resolve_kind_env(self, oriented, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_KERNEL", "merge")
-        assert native.resolve_kind(oriented) == "merge"
+    def test_resolve_kind_env(self, oriented):
+        assert native.resolve_kind(oriented, "merge") == "merge"
         assert native.resolve_kind(oriented, "bitmap") == "bitmap"
         with pytest.raises(ValueError, match="kernel"):
             native.resolve_kind(oriented, "simd")
@@ -196,18 +194,19 @@ def fresh_native(monkeypatch):
 
 
 class TestGatingAndFallback:
+    @pytest.mark.parametrize("value", ("0", "false", "no", "off"))
     def test_repro_native_zero_gates(self, fresh_native, monkeypatch,
-                                     pareto_graph):
-        monkeypatch.setenv("REPRO_NATIVE", "0")
+                                     pareto_graph, value):
+        monkeypatch.setenv("REPRO_NATIVE", value)
         assert not native.available()
         assert native.status()["state"] == "gated"
         g = orient(pareto_graph, DescendingDegree())
         assert native.count_triangles(g) is None
         assert native.list_triangles_array(g) is None
         assert native.stream_triangles(g) is None
-        # auto + collect silently keeps the python reference engine
+        # auto + collect keeps the python reference engine
         result = list_triangles(g, "T1", collect=True)
-        assert result.extra.get("engine") is None
+        assert result.extra["engine"] == "python"
 
     def test_missing_compiler_degrades(self, fresh_native, monkeypatch):
         monkeypatch.delenv("REPRO_NATIVE", raising=False)
@@ -251,7 +250,7 @@ class TestGatingAndFallback:
         monkeypatch.setattr(native, "_lib", None)
         g = orient(pareto_graph, DescendingDegree())
         result = list_triangles(g, "T1", collect=True, engine="numpy")
-        assert result.extra["native"] is False
+        assert result.extra["engine"] == "numpy"
         ref = list_triangles(g, "T1", collect=True, engine="python")
         assert set(result.triangles) == set(ref.triangles)
 
@@ -261,7 +260,7 @@ class TestNativeEngineValue:
     def test_native_engine_runs(self, oriented):
         result = list_triangles(oriented, "E4", collect=True,
                                 engine="native")
-        assert result.extra["native"] is True
+        assert result.extra["engine"] == "native"
         assert result.extra["native_kernel"] in native.KERNEL_KINDS
         ref = list_triangles(oriented, "E4", collect=True,
                              engine="python")

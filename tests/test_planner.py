@@ -147,6 +147,9 @@ class TestAutoRouting:
         report = run_pipeline(pareto_graph, method="auto")
         reference = run_pipeline(pareto_graph, method="T1")
         assert report.count == reference.count
+        plan = plan_for_graph(pareto_graph)
+        assert report.result.extra["auto_method"] == plan.best.method
+        assert report.result.extra["auto_confidence"] == plan.confidence
         assert report.order in ("ascending", "descending", "rr",
                                 "crr", "opt", "degenerate")
 
